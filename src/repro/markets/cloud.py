@@ -174,7 +174,9 @@ class TransientCloud:
         if not market.revocable:
             raise ValueError("cannot revoke an on-demand market")
         warned = []
-        for vm in self._vms.values():
+        # A snapshot: a warning callback may lease replacement VMs (the
+        # balancer's reprovision path), which this call must not warn.
+        for vm in list(self._vms.values()):
             if (
                 vm.market.name == market.name
                 and vm.state in (VMState.STARTING, VMState.RUNNING)
@@ -216,7 +218,9 @@ class TransientCloud:
         WARNED VMs whose deadline passed.  Returns VMs terminated this call.
         """
         terminated = []
-        for vm in self._vms.values():
+        # A snapshot: termination callbacks may lease VMs, which this call
+        # must not promote or reap.
+        for vm in list(self._vms.values()):
             if vm.state is VMState.STARTING and now >= vm.ready_time:
                 vm.state = VMState.WARNED if vm.warned_at is not None else VMState.RUNNING
             if vm.state is VMState.WARNED and vm.warning_deadline is not None:

@@ -25,6 +25,9 @@ from repro.simulator.server import SimServer
 
 __all__ = ["ClusterConfig", "ClusterSimulation"]
 
+#: Returning requests pick one of this many most recent sessions.
+_SESSION_WINDOW = 10_000
+
 
 @field_units(
     service_time="s",
@@ -128,7 +131,10 @@ class ClusterSimulation:
         self.servers: dict[int, SimServer] = {}
         self._next_id = 0
         self._rng = np.random.default_rng(self.config.seed)
-        self._sessions: list[int] = []
+        # Live sessions are always the most recent ``_session_window`` ids,
+        # ``range(_next_session - _session_window, _next_session)``, so the
+        # window is kept as its size only.
+        self._session_window = 0
         self._next_session = 0
         self._arrival_event = None
         self.capacity_timeline: list[tuple[float, float]] = []
@@ -281,17 +287,18 @@ class ClusterSimulation:
 
     # ---------------------------------------------------------------- traffic
     def _session_for_request(self) -> int:
-        if (
-            not self._sessions
-            or self._rng.random() < self.config.new_session_probability
-        ):
+        """A new session id, or a uniform draw from the last 10k ids.
+
+        ``integers(window)`` consumes the RNG exactly as ``choice`` over
+        the window's id list would, without building that list.
+        """
+        window = self._session_window
+        if not window or self._rng.random() < self.config.new_session_probability:
             sid = self._next_session
             self._next_session += 1
-            self._sessions.append(sid)
-            if len(self._sessions) > 10_000:
-                self._sessions.pop(0)
+            self._session_window = min(window + 1, _SESSION_WINDOW)
             return sid
-        return int(self._rng.choice(self._sessions))
+        return self._next_session - window + int(self._rng.integers(window))
 
     def _arrival(self, rate_fn: Callable[[float], float], t_end: float) -> None:
         now = self.sim.now

@@ -387,3 +387,131 @@ def test_per_request_prices_conversion():
         per_request_prices(prices, np.array([100.0, 0.0]))
     with pytest.raises(ContractError):
         per_request_prices(np.array([-1.0, 2.0]), caps)
+
+
+# ------------------------------------------------------- compiled wrappers
+def test_wrappers_never_bind_signatures(monkeypatch):
+    import inspect
+
+    def no_bind(self, *args, **kwargs):
+        raise AssertionError("Signature.bind called on the call path")
+
+    @units("s", limit="req/s")
+    @shapes("()", limit="()")
+    @nonneg("delay", "limit")
+    def f(delay, *, limit=None):
+        return delay
+
+    monkeypatch.setattr(inspect.Signature, "bind", no_bind)
+    assert f(1.0, limit=2.0) == 1.0
+    with pytest.raises(ContractError):
+        f(UnitScalar(1.0, "req/s"))
+
+
+def test_schedule_checks_delay_positionally_by_keyword_and_before_varargs():
+    from repro.simulator.des import Simulator
+
+    sim = Simulator()
+    wrong = UnitScalar(1.0, "req/s")
+    with pytest.raises(ContractError, match="'delay'"):
+        sim.schedule(wrong, print)
+    with pytest.raises(ContractError, match="'delay'"):
+        sim.schedule(delay=wrong, fn=print)
+    with pytest.raises(ContractError, match="'delay'"):
+        sim.schedule(wrong, print, 1, 2)
+    with pytest.raises(ContractError, match="'time'"):
+        sim.schedule_at(wrong, print, "arg")
+    # The right unit passes, and *args reach the callback untouched.
+    out = []
+    sim.schedule(UnitScalar(1.0, "s"), lambda a, b: out.append((a, b)), 1, 2)
+    sim.run()
+    assert out == [(1, 2)]
+
+
+def test_omitted_defaults_are_not_checked():
+    @units("s", limit="req/s")
+    def f(delay, limit=UnitScalar(5.0, "usd")):
+        return delay
+
+    @shapes("(N,)", other="(N,)")
+    def g(v, other=np.ones((2, 2))):
+        return v
+
+    assert f(1.0) == 1.0
+    with pytest.raises(ContractError, match="'limit'"):
+        f(1.0, UnitScalar(5.0, "usd"))
+    with pytest.raises(ContractError, match="'limit'"):
+        f(1.0, limit=UnitScalar(5.0, "usd"))
+    g(np.ones(3))
+    with pytest.raises(ContractError, match="'other'"):
+        g(np.ones(3), np.ones((2, 2)))
+
+
+def test_missing_and_extra_arguments_raise_type_error():
+    @units("s", "s")
+    def f(a, b):
+        return a
+
+    @shapes("(N,)", "(N,)")
+    def g(a, b):
+        return a
+
+    @nonneg("a")
+    def h(a, *, b=0.0):
+        return a
+
+    for wrapped in (f, g):
+        with pytest.raises(TypeError):
+            wrapped(np.ones(2))
+        with pytest.raises(TypeError):
+            wrapped(np.ones(2), np.ones(2), np.ones(2))
+        with pytest.raises(TypeError):
+            wrapped(np.ones(2), np.ones(2), extra=1)
+        with pytest.raises(TypeError):
+            wrapped(np.ones(2), a=np.ones(2))
+    with pytest.raises(TypeError):
+        h()
+    with pytest.raises(TypeError):
+        h(1.0, 2.0)  # b is keyword-only
+
+
+def test_shapes_bind_symbols_across_keyword_and_keyword_only_params():
+    @shapes("(N,)", other="(N,N)")
+    def f(v, *, other=None):
+        return v
+
+    f(np.ones(3), other=np.ones((3, 3)))
+    f(v=np.ones(3), other=np.ones((3, 3)))
+    # Keyword specs are checked first: N binds on 'other', 'v' disagrees.
+    with pytest.raises(ContractError, match="'v'"):
+        f(np.ones(4), other=np.ones((3, 3)))
+    with pytest.raises(ContractError, match="'v'"):
+        f(v=np.ones(4), other=np.ones((3, 3)))
+
+
+def test_nonneg_mappings_positional_and_by_keyword():
+    @nonneg("weights")
+    def f(scale, weights):
+        return True
+
+    assert f(1.0, {"a": 0.0})
+    with pytest.raises(ContractError, match="weights"):
+        f(1.0, {"a": -0.5})
+    with pytest.raises(ContractError, match="weights"):
+        f(1.0, weights={"a": 0.25, "b": -0.5})
+    with pytest.raises(ContractError, match="weights"):
+        f(scale=1.0, weights={"a": -0.5})
+
+
+def test_specs_on_variadic_parameters_rejected_at_decoration():
+    with pytest.raises(ValueError, match="variadic"):
+
+        @units(args="s")
+        def f(*args):
+            return args
+
+    with pytest.raises(ValueError, match="variadic"):
+
+        @nonneg("kwargs")
+        def g(**kwargs):
+            return kwargs

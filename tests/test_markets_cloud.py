@@ -97,6 +97,36 @@ class TestRevocations:
         cloud.advance(200.0)
         assert vm.state is VMState.TERMINATED
 
+    def test_warning_callback_may_lease_replacements(self, cloud, market):
+        """The balancer's reprovision path leases VMs from inside a warning."""
+        old = cloud.request(market, 2, now=0.0)
+        replacements = []
+        cloud.on_warning(
+            lambda vm, now: replacements.extend(cloud.request(market, 1, now))
+        )
+        warned = cloud.revoke_market(market, 10.0)
+        assert warned == old
+        assert len(replacements) == 2
+        # Replacements leased by the callback are not warned by the same call.
+        assert all(vm.state is VMState.STARTING for vm in replacements)
+        assert len(cloud.live_vms(market)) == 4
+
+    def test_termination_callback_may_lease_replacements(self, cloud, market):
+        (old,) = cloud.request(market, 1, now=0.0)
+        cloud.revoke_vm(old, 10.0)
+        replacements = []
+        cloud.on_termination(
+            lambda vm, now: replacements.extend(cloud.request(market, 1, now))
+        )
+        dead = cloud.advance(200.0)
+        assert dead == [old]
+        (new,) = replacements
+        # Leased at the deadline inside advance(), so not promoted by it.
+        assert new.launched_at == 130.0
+        assert new.state is VMState.STARTING
+        cloud.advance(250.0)
+        assert new.state is VMState.RUNNING
+
 
 class TestBilling:
     def test_spot_price_function_used(self, catalog):

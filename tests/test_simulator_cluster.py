@@ -79,6 +79,69 @@ class TestSessions:
         assert cluster._next_session > 10
         assert len(cluster.balancer.sessions) > 0
 
+    def test_session_draw_matches_list_choice_reference(self):
+        """The O(1) draw replays a 10k-id window list sampled with choice()."""
+        cfg = quick_config(seed=3, new_session_probability=0.5)
+        cluster = ClusterSimulation(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        window: list[int] = []
+        next_id = 0
+        expected = []
+        for _ in range(30_000):
+            if not window or rng.random() < cfg.new_session_probability:
+                expected.append(next_id)
+                window.append(next_id)
+                next_id += 1
+                if len(window) > 10_000:
+                    window.pop(0)
+            else:
+                expected.append(int(rng.choice(window)))
+        drawn = [cluster._session_for_request() for _ in range(30_000)]
+        assert next_id > 12_000  # the window filled and slid
+        assert drawn == expected
+        assert cluster._next_session == next_id
+        # Both generators are left in the same state.
+        assert cluster._rng.random() == rng.random()
+
+
+class TestPinnedStorm:
+    """One seeded request-level storm run, pinned to its recorded outputs.
+
+    The per-request path (session draw, event heap, server queues,
+    balancer) may get faster but must not change a single outcome.
+    """
+
+    def test_storm_outputs_are_pinned(self):
+        cfg = ClusterConfig(
+            seed=11,
+            boot_seconds=8.0,
+            warmup_seconds=5.0,
+            warning_seconds=2.0,
+            new_session_probability=0.5,
+        )
+        holder = {}
+
+        def reprovision(capacity, _now):
+            holder["cluster"].add_server(capacity)
+
+        cluster = ClusterSimulation(
+            cfg,
+            lambda rec: TransiencyAwareLoadBalancer(rec, reprovision=reprovision),
+        )
+        holder["cluster"] = cluster
+        for _ in range(10):
+            cluster.add_server(100.0, boot_seconds=0.0)
+        cluster.schedule_storm([0, 1], 6.0)
+        cluster.schedule_storm([2, 3], 14.0)
+        rec = cluster.run(24.0, rate=920.0)
+        lb = cluster.balancer
+        assert (rec.served, rec.dropped, rec.failed) == (18375, 1086, 790)
+        assert rec.percentile(99) == 2.418620060714391
+        assert rec.mean() == 1.845235527463612
+        assert (lb.migrations, lb.reprovision_requests) == (2604, 4)
+        assert cluster.sim.processed == 41154
+        assert cluster._next_session == 11167  # the session window slid
+
 
 class TestValidation:
     def test_bad_duration(self):

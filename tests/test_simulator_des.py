@@ -90,3 +90,46 @@ class TestScheduling:
     def test_event_repr(self):
         e = Event(1.0, 0, lambda: None, ())
         assert "pending" in repr(e)
+
+    def test_same_time_events_fire_in_scheduling_order(self):
+        sim = Simulator()
+        fired = []
+
+        def reschedule(tag):
+            fired.append(tag)
+            # Scheduled at the current time: runs after everything already
+            # queued for this instant.
+            sim.schedule(0.0, fired.append, tag + "-again")
+
+        for i, t in enumerate([2.0, 1.0, 2.0, 1.0, 2.0, 1.0]):
+            sim.schedule_at(t, fired.append, f"{t:g}:{i}")
+        sim.schedule_at(1.0, reschedule, "r")
+        sim.schedule_at(1.0, fired.append, "last")
+        sim.run_until(5.0)
+        assert fired == [
+            "1:1", "1:3", "1:5", "r", "last", "r-again",
+            "2:0", "2:2", "2:4",
+        ]
+
+    def test_cancelled_events_skipped_and_not_pending(self):
+        sim = Simulator()
+        fired = []
+        events = [sim.schedule(1.0, fired.append, i) for i in range(6)]
+        for i in (0, 2, 5):
+            events[i].cancel()
+        assert sim.pending == 3
+        sim.advance(0.5)
+        assert sim.pending == 3
+        sim.run_until(2.0)
+        assert fired == [1, 3, 4]
+        assert sim.processed == 3
+        assert sim.pending == 0
+
+    def test_schedule_returns_cancellable_handle(self):
+        sim = Simulator()
+        ev = sim.schedule(2.0, lambda: None, "x")
+        assert isinstance(ev, Event)
+        assert (ev.time, ev.args, ev.cancelled) == (2.0, ("x",), False)
+        ev.cancel()
+        assert ev.cancelled
+        assert sim.pending == 0

@@ -136,3 +136,28 @@ class TestValidation:
         for _ in range(50):
             server.submit()
         assert 0.0 <= server.utilization() <= 1.0
+
+
+class TestProbeReference:
+    def test_list_probes_match_numpy_reference(self):
+        """Worker slots are a plain list; probes and slot choice must equal
+        the numpy reductions they replaced, bit for bit."""
+        sim, rec, server = make_server(capacity_rps=80.0, seed=4)
+        rng = np.random.default_rng(9)
+        t = 0.0
+        for _ in range(400):
+            t += float(rng.exponential(0.01))
+            sim.run_until(t)
+            free = np.asarray(server._worker_free)
+            assert server.utilization() == float(np.mean(free > sim.now))
+            assert server.expected_wait() == max(
+                0.0, float(free.min()) - sim.now
+            )
+            before = list(server._worker_free)
+            if server.submit():
+                changed = [
+                    i for i, (a, b) in enumerate(zip(before, server._worker_free))
+                    if a != b
+                ]
+                assert changed == [int(np.argmin(before))]
+        assert rec.served > 0 and server.utilization() > 0.0

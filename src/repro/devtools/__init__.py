@@ -3,16 +3,23 @@
 Two halves, both enforcing the same domain invariants from different
 directions:
 
-- :mod:`repro.devtools.rules` + :mod:`repro.devtools.lint` — ``spotlint``,
-  an AST-based static-analysis pass with SpotWeb-specific rules
-  (``SW001``–``SW008``): seeded-``Generator`` RNG threading, no wall-clock
-  inside the DES, no float ``==``, genuinely immutable frozen dataclasses,
-  explicit ``__all__`` per module, and more.  Run it with
-  ``python -m repro.devtools.lint src/`` or the ``spotlint`` console
-  script; CI gates on a clean tree.
+- :mod:`repro.devtools.check` — ``spotcheck``, the one static-analysis
+  driver.  It walks, parses and caches every file once and runs four
+  analyzers over it: spotlint (:mod:`repro.devtools.rules`, per-file
+  rules SW001–SW012), spotgraph (:mod:`repro.devtools.graph`, layering,
+  determinism taint and pmap purity, SW101–SW123), spotshape
+  (:mod:`repro.devtools.shape`, symbolic array shapes, SW200–SW204) and
+  spotunits (:mod:`repro.devtools.units`, units of measure,
+  SW300–SW304).  Run it with ``python -m repro.devtools.check src/`` or
+  the ``spotcheck`` console script; CI gates on no findings beyond
+  ``spotcheck-baseline.json``.
 - :mod:`repro.devtools.contracts` — runtime shape/sign/unit contracts
   (``@shapes``, ``@nonneg``, unit-tagged scalars) applied at the hot
   seams and toggled by the ``SPOTWEB_CONTRACTS`` environment variable.
+
+Only the contracts load eagerly: the runtime imports them on every hot
+seam, so the analyzers stay off that import path and ``RULES``,
+``Finding`` and ``Rule`` resolve lazily (PEP 562).
 """
 
 from __future__ import annotations
@@ -38,19 +45,17 @@ from repro.devtools.contracts import (
 # same-named attribute would be silently clobbered the moment anything
 # imported the submodule.  Use ``from repro.devtools.contracts import
 # units`` for the decorator.
-from repro.devtools.rules import RULES, Finding, Rule
 
-# The lint engine is re-exported lazily (PEP 562) so that running
-# ``python -m repro.devtools.lint`` does not import the module twice.
-_LINT_EXPORTS = ("lint_file", "lint_paths", "lint_source")
+_RULES_EXPORTS = ("RULES", "Finding", "Rule")
 
 
 def __getattr__(name: str):
-    if name in _LINT_EXPORTS:
-        from repro.devtools import lint
+    if name in _RULES_EXPORTS:
+        from repro.devtools import rules
 
-        return getattr(lint, name)
+        return getattr(rules, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ContractError",
@@ -66,9 +71,6 @@ __all__ = [
     "shapes",
     "usd_per_hour",
     "usd_per_hour_per_rps",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "RULES",
     "Finding",
     "Rule",

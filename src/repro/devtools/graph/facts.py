@@ -1,10 +1,10 @@
-"""Per-file fact extraction for ``spotgraph``, with mtime+hash caching.
+"""Per-file fact extraction for ``spotgraph``.
 
 The whole-program passes in :mod:`repro.devtools.graph` (layering, taint,
 purity) never touch the AST directly — they run over :class:`ModuleFacts`
 records extracted here, one per file.  Facts are JSON-serializable on
-purpose: a cache file keyed by ``(mtime, sha256)`` lets a CI re-run skip
-re-parsing every unchanged file.
+purpose: the :mod:`repro.devtools.check` driver caches them per file by
+``(mtime, sha256)``, so a re-run skips re-parsing every unchanged file.
 
 Extracted per module:
 
@@ -17,7 +17,7 @@ Extracted per module:
   reads/writes of module-level mutable globals, and unordered-iteration
   hazards (``set``/``os.listdir``/``Path.iterdir`` without ``sorted``);
 - ``pmap`` dispatch sites and the worker callable each resolves to;
-- ``# spotgraph:`` annotations and suppression comments.
+- ``# spotgraph:`` annotations (suppression comments are the driver's).
 
 Annotation grammar (trailing comment on the ``def`` line or the line
 directly above it; ``-file`` forms apply to the whole module)::
@@ -32,21 +32,19 @@ directly above it; ``-file`` forms apply to the whole module)::
 from __future__ import annotations
 
 import ast
-import hashlib
-import io
-import json
 import re
-import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from repro.devtools.lint import iter_python_files, scan_suppressions
-from repro.devtools.rules import module_name_for
+from repro.devtools.rules import (
+    ImportMap,
+    dotted_target,
+    follow_reexports,
+    iter_functions,
+)
 
 __all__ = [
-    "FACTS_VERSION",
-    "CACHE_SCHEMA",
     "ANNOT_DETERMINISTIC",
     "ANNOT_DETERMINISTIC_FILE",
     "ANNOT_ALLOW_NONDET",
@@ -61,13 +59,7 @@ __all__ = [
     "ModuleFacts",
     "Project",
     "extract_module_facts",
-    "load_project",
 ]
-
-# Bump whenever extraction output changes shape or semantics: stale cache
-# entries from older extractors are discarded by version mismatch.
-FACTS_VERSION = 1
-CACHE_SCHEMA = "spotgraph-cache/1"
 
 ANNOT_DETERMINISTIC = "deterministic"
 ANNOT_DETERMINISTIC_FILE = "deterministic-file"
@@ -185,17 +177,11 @@ class ModuleFacts:
     mutable_globals: tuple[str, ...]
     export_aliases: dict[str, str] = field(default_factory=dict)
     annotations: tuple[str, ...] = ()
-    file_suppressions: tuple[str, ...] = ()
-    line_suppressions: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    suppression_refs: tuple[tuple[int, str], ...] = ()
     pmap_dispatches: tuple[PmapDispatch, ...] = ()
-    error: str | None = None
-    error_line: int = 1
 
     # ------------------------------------------------------- serialization
     def to_dict(self) -> dict:
         return {
-            "path": self.path,
             "module": self.module,
             "imports": [[e.target, e.line, e.typing_only] for e in self.imports],
             "functions": [
@@ -224,23 +210,15 @@ class ModuleFacts:
             "mutable_globals": list(self.mutable_globals),
             "export_aliases": dict(self.export_aliases),
             "annotations": list(self.annotations),
-            "file_suppressions": list(self.file_suppressions),
-            "line_suppressions": {
-                str(line): list(rules)
-                for line, rules in self.line_suppressions.items()
-            },
-            "suppression_refs": [[line, rule] for line, rule in self.suppression_refs],
             "pmap_dispatches": [
                 [d.worker, d.line, d.col, d.detail] for d in self.pmap_dispatches
             ],
-            "error": self.error,
-            "error_line": self.error_line,
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ModuleFacts":
+    def from_dict(cls, data: dict, path: str) -> "ModuleFacts":
         return cls(
-            path=data["path"],
+            path=path,
             module=data["module"],
             imports=tuple(ImportEdge(t, ln, ty) for t, ln, ty in data["imports"]),
             functions=tuple(
@@ -267,19 +245,9 @@ class ModuleFacts:
             mutable_globals=tuple(data["mutable_globals"]),
             export_aliases=dict(data["export_aliases"]),
             annotations=tuple(data["annotations"]),
-            file_suppressions=tuple(data["file_suppressions"]),
-            line_suppressions={
-                int(line): tuple(rules)
-                for line, rules in data["line_suppressions"].items()
-            },
-            suppression_refs=tuple(
-                (line, rule) for line, rule in data["suppression_refs"]
-            ),
             pmap_dispatches=tuple(
                 PmapDispatch(w, ln, c, d) for w, ln, c, d in data["pmap_dispatches"]
             ),
-            error=data["error"],
-            error_line=data["error_line"],
         )
 
 
@@ -288,18 +256,9 @@ class ModuleFacts:
 # --------------------------------------------------------------------------
 
 
-def _annotation_lines(source: str) -> dict[int, set[str]]:
+def _annotation_lines(comments: Iterable[tuple[int, str]]) -> dict[int, set[str]]:
     """Map source line -> the spotgraph annotation tokens on that line."""
     out: dict[int, set[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        comments = [
-            (tok.start[0], tok.string)
-            for tok in tokens
-            if tok.type == tokenize.COMMENT
-        ]
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return out
     for line, text in comments:
         match = _ANNOT_RE.search(text)
         if match and match.group("body") in _KNOWN_ANNOTATIONS:
@@ -311,91 +270,6 @@ def _def_annotations(node: ast.AST, annot: dict[int, set[str]]) -> set[str]:
     """Annotations attached to a ``def``: its line or the line above."""
     lineno = getattr(node, "lineno", 0)
     return annot.get(lineno, set()) | annot.get(lineno - 1, set())
-
-
-# --------------------------------------------------------------------------
-# Name/alias resolution
-# --------------------------------------------------------------------------
-
-
-def _resolve_relative(module: str | None, node: ast.ImportFrom, is_pkg: bool) -> str | None:
-    """Absolute dotted target of a (possibly relative) ``from`` import."""
-    if node.level == 0:
-        return node.module
-    if module is None:
-        return None
-    parts = module.split(".")
-    # A package's __init__ resolves `from .` against itself; a plain module
-    # resolves against its parent package.
-    if not is_pkg:
-        parts = parts[:-1]
-    drop = node.level - 1
-    if drop > len(parts):
-        return None
-    base = parts[: len(parts) - drop]
-    if node.module:
-        base = base + node.module.split(".")
-    return ".".join(base) if base else None
-
-
-class _ImportCollector(ast.NodeVisitor):
-    """Collect import edges, marking those under ``if TYPE_CHECKING:``."""
-
-    def __init__(self, module: str | None, is_pkg: bool) -> None:
-        self.module = module
-        self.is_pkg = is_pkg
-        self.edges: list[ImportEdge] = []
-        self.export_aliases: dict[str, str] = {}
-        self.aliases: dict[str, str] = {}
-        self._typing_depth = 0
-
-    @staticmethod
-    def _is_type_checking(test: ast.expr) -> bool:
-        if isinstance(test, ast.Name):
-            return test.id == "TYPE_CHECKING"
-        if isinstance(test, ast.Attribute):
-            return test.attr == "TYPE_CHECKING"
-        return False
-
-    def visit_If(self, node: ast.If) -> None:
-        if self._is_type_checking(node.test):
-            self._typing_depth += 1
-            for child in node.body:
-                self.visit(child)
-            self._typing_depth -= 1
-            for child in node.orelse:
-                self.visit(child)
-        else:
-            self.generic_visit(node)
-
-    def visit_Import(self, node: ast.Import) -> None:
-        typing_only = self._typing_depth > 0
-        for alias in node.names:
-            self.edges.append(ImportEdge(alias.name, node.lineno, typing_only))
-            if alias.asname:
-                self.aliases[alias.asname] = alias.name
-            else:
-                root = alias.name.split(".", 1)[0]
-                self.aliases[root] = root
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        typing_only = self._typing_depth > 0
-        target = _resolve_relative(self.module, node, self.is_pkg)
-        if target is None:
-            return
-        for alias in node.names:
-            if alias.name == "*":
-                self.edges.append(ImportEdge(target, node.lineno, typing_only))
-                continue
-            # `from repro import obs` is really an edge to repro.obs; for
-            # any deeper package the package itself is the layering target.
-            edge_target = f"{target}.{alias.name}" if target == "repro" else target
-            self.edges.append(ImportEdge(edge_target, node.lineno, typing_only))
-            local = alias.asname or alias.name
-            dotted = f"{target}.{alias.name}"
-            self.aliases[local] = dotted
-            if not typing_only:
-                self.export_aliases[local] = dotted
 
 
 # --------------------------------------------------------------------------
@@ -439,36 +313,6 @@ def _local_names(fn: ast.AST) -> set[str]:
     return names - declared_global
 
 
-def _dotted_target(
-    func: ast.expr,
-    aliases: dict[str, str],
-    module: str | None,
-    module_symbols: set[str],
-    class_name: str | None,
-    locals_: set[str],
-) -> str | None:
-    """Resolve a call's function expression to a dotted path, if possible."""
-    parts: list[str] = []
-    node = func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    base = node.id
-    if base == "self" and class_name is not None and len(parts) == 1:
-        return f"{module}.{class_name}.{parts[0]}" if module else None
-    if base in locals_ and base not in aliases:
-        return None
-    if base in aliases:
-        parts.append(aliases[base])
-    elif base in module_symbols and module:
-        parts.append(f"{module}.{base}")
-    else:
-        return None
-    return ".".join(reversed(parts))
-
-
 def _is_setish(node: ast.expr, resolver) -> str | None:
     """Describe ``node`` if its iteration order is nondeterministic."""
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -503,8 +347,8 @@ def _analyze_function(
             declared_global.update(node.names)
 
     def resolver(func: ast.expr) -> str | None:
-        return _dotted_target(
-            func, aliases, module, module_symbols, class_name, locals_
+        return dotted_target(
+            func, aliases, module, module_symbols, locals_, class_name
         )
 
     calls: list[CallSite] = []
@@ -699,29 +543,19 @@ def _analyze_function(
 # --------------------------------------------------------------------------
 
 
-def extract_module_facts(source: str, path: Path, *, module: str | None = None) -> ModuleFacts:
-    """Extract the whole-program facts for one module's source text."""
-    if module is None:
-        module = module_name_for(path)
-    str_path = str(path)
-    try:
-        tree = ast.parse(source, filename=str_path)
-    except SyntaxError as exc:
-        return ModuleFacts(
-            path=str_path,
-            module=module,
-            imports=(),
-            functions=(),
-            mutable_globals=(),
-            error=f"syntax error: {exc.msg}",
-            error_line=exc.lineno or 1,
-        )
+def extract_module_facts(
+    tree: ast.Module,
+    path: Path,
+    module: str | None,
+    comments: Iterable[tuple[int, str]] = (),
+) -> ModuleFacts:
+    """Extract the whole-program facts for one parsed module.
 
-    is_pkg = path.name == "__init__.py"
-    collector = _ImportCollector(module, is_pkg)
-    collector.visit(tree)
-    annot = _annotation_lines(source)
-    file_rules, line_rules, refs = scan_suppressions(source, tool="spotgraph")
+    ``comments`` is the module's ``(line, text)`` comment stream, read for
+    ``# spotgraph:`` annotations.
+    """
+    imports = ImportMap(tree, module, path.name == "__init__.py")
+    annot = _annotation_lines(comments)
 
     module_symbols: set[str] = set()
     mutable_globals: set[str] = set()
@@ -766,7 +600,7 @@ def extract_module_facts(source: str, path: Path, *, module: str | None = None) 
             fn,
             qualname=qualname,
             module=module,
-            aliases=collector.aliases,
+            aliases=imports.aliases,
             module_symbols=module_symbols,
             mutable_globals=mutable_globals,
             class_name=class_name,
@@ -775,27 +609,27 @@ def extract_module_facts(source: str, path: Path, *, module: str | None = None) 
         functions.append(facts)
         dispatches.extend(fn_dispatches)
 
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            handle(stmt, stmt.name, None)
-        elif isinstance(stmt, ast.ClassDef):
-            for inner in stmt.body:
-                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    handle(inner, f"{stmt.name}.{inner.name}", stmt.name)
+    for fn, qualname, cls in iter_functions(tree):
+        handle(fn, qualname, cls.name if cls is not None else None)
 
+    # `from repro import obs` is really an edge to repro.obs; for any
+    # deeper package the package itself is the layering target.
+    edges = tuple(
+        ImportEdge(
+            f"{target}.{name}" if name is not None and target == "repro" else target,
+            line,
+            typing_only,
+        )
+        for target, name, line, typing_only in imports.imports
+    )
     return ModuleFacts(
-        path=str_path,
+        path=str(path),
         module=module,
-        imports=tuple(collector.edges),
+        imports=edges,
         functions=tuple(functions),
         mutable_globals=tuple(sorted(mutable_globals)),
-        export_aliases=collector.export_aliases,
+        export_aliases=imports.exports,
         annotations=tuple(sorted(module_annots)),
-        file_suppressions=tuple(sorted(file_rules)),
-        line_suppressions={
-            line: tuple(sorted(rules)) for line, rules in line_rules.items()
-        },
-        suppression_refs=tuple(refs),
         pmap_dispatches=tuple(dispatches),
     )
 
@@ -830,11 +664,7 @@ class Project:
 
     def resolve(self, dotted: str) -> str:
         """Follow re-export chains to a stable dotted name."""
-        seen: set[str] = set()
-        while dotted in self.reexports and dotted not in seen:
-            seen.add(dotted)
-            dotted = self.reexports[dotted]
-        return dotted
+        return follow_reexports(self.reexports, dotted)
 
     def resolve_function(self, dotted: str) -> str | None:
         """Resolve a dotted ref to a project function id, if it is one."""
@@ -866,116 +696,3 @@ class Project:
             for callee, _site in callees:
                 reverse.setdefault(callee, set()).add(caller)
         return {k: sorted(v) for k, v in reverse.items()}
-
-
-# --------------------------------------------------------------------------
-# Cache + project loading
-# --------------------------------------------------------------------------
-
-
-def _load_cache(cache_path: Path | None) -> dict:
-    if cache_path is None or not cache_path.exists():
-        return {}
-    try:
-        data = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return {}
-    if data.get("schema") != CACHE_SCHEMA or data.get("version") != FACTS_VERSION:
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(cache_path: Path | None, files: dict) -> None:
-    if cache_path is None:
-        return
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "version": FACTS_VERSION,
-        "files": files,
-    }
-    try:
-        cache_path.write_text(
-            json.dumps(payload, sort_keys=True), encoding="utf-8"
-        )
-    except OSError:
-        # A read-only checkout (CI artifact stage) must not fail the run.
-        return
-
-
-def _iter_sources(
-    paths: Iterable[Path | str], exclude: Iterable[Path | str]
-) -> Iterator[Path]:
-    yield from iter_python_files(paths, exclude=exclude)
-
-
-def load_project(
-    paths: Iterable[Path | str],
-    *,
-    exclude: Iterable[Path | str] = (),
-    cache_path: Path | str | None = None,
-    stats: dict | None = None,
-) -> Project:
-    """Extract (or reuse cached) facts for every ``.py`` file under ``paths``.
-
-    ``cache_path=None`` disables caching.  A cache entry is reused when the
-    file's mtime matches; on mtime mismatch the SHA-256 of the content
-    decides (so ``touch`` does not force re-extraction).  ``stats`` (when
-    given) receives ``cached``/``extracted`` counters.
-    """
-    cache_file = Path(cache_path) if cache_path is not None else None
-    cached_files = _load_cache(cache_file)
-    next_files: dict = {}
-    modules: list[ModuleFacts] = []
-    n_cached = n_extracted = 0
-
-    for path in _iter_sources(paths, exclude):
-        key = str(path.resolve())
-        try:
-            stat = path.stat()
-            mtime = stat.st_mtime_ns
-        except OSError:
-            mtime = -1
-        entry = cached_files.get(key)
-        source: str | None = None
-        digest: str | None = None
-        if entry is not None and entry.get("mtime") == mtime:
-            facts = ModuleFacts.from_dict(entry["facts"])
-            modules.append(facts)
-            next_files[key] = entry
-            n_cached += 1
-            continue
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            facts = ModuleFacts(
-                path=str(path),
-                module=module_name_for(path),
-                imports=(),
-                functions=(),
-                mutable_globals=(),
-                error=f"unreadable file: {exc}",
-            )
-            modules.append(facts)
-            continue
-        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        if entry is not None and entry.get("sha256") == digest:
-            facts = ModuleFacts.from_dict(entry["facts"])
-            modules.append(facts)
-            next_files[key] = {
-                "mtime": mtime, "sha256": digest, "facts": entry["facts"]
-            }
-            n_cached += 1
-            continue
-        facts = extract_module_facts(source, path)
-        modules.append(facts)
-        next_files[key] = {
-            "mtime": mtime, "sha256": digest, "facts": facts.to_dict()
-        }
-        n_extracted += 1
-
-    _save_cache(cache_file, next_files)
-    if stats is not None:
-        stats["cached"] = n_cached
-        stats["extracted"] = n_extracted
-    return Project(modules)

@@ -67,7 +67,7 @@ DETERMINISTIC_PREFIXES: tuple[str, ...] = (
     "repro.baselines",
     "repro.bench.report",
     "repro.core",
-    "repro.devtools.baseline",
+    "repro.devtools.check",
     "repro.devtools.shape",
     "repro.devtools.specs",
     "repro.loadbalancer",

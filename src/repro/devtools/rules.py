@@ -1,4 +1,4 @@
-"""Domain-specific static-analysis rules for the SpotWeb reproduction.
+"""``spotlint`` — per-file static-analysis rules for the SpotWeb reproduction.
 
 Each rule encodes an invariant the Python type system cannot express but
 the system's correctness rests on: reproducibility demands seeded
@@ -8,9 +8,12 @@ simulator owns time (no wall-clock reads inside ``repro.simulator`` /
 "frozen" snapshots must actually be immutable down to their arrays.
 
 Rules are pure functions over a parsed module (:class:`ModuleContext`)
-yielding :class:`Finding` records.  The engine in
-:mod:`repro.devtools.lint` handles file walking, suppression comments and
-reporting.
+yielding :class:`Finding` records; :func:`lint_module` runs them all.  The
+driver in :mod:`repro.devtools.check` handles file walking, parsing,
+``# spotlint:`` suppression comments, caching and reporting.  This module
+also holds what every analyzer shares: :class:`Finding`, module naming,
+and the one import/alias resolver (:class:`ImportMap`,
+:func:`dotted_target`, :func:`follow_reexports`).
 
 Rule inventory
 --------------
@@ -42,14 +45,22 @@ from __future__ import annotations
 import ast
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 __all__ = [
     "Finding",
+    "ImportMap",
     "ModuleContext",
     "Rule",
     "RULES",
+    "dotted_target",
+    "follow_reexports",
+    "iter_functions",
+    "lint_module",
     "module_name_for",
+    "resolve_relative",
+    "top_level_symbols",
 ]
 
 
@@ -83,6 +94,10 @@ class ModuleContext:
     def is_entry_script(self) -> bool:
         return self.path.name == "__main__.py"
 
+    @cached_property
+    def aliases(self) -> dict[str, str]:
+        return ImportMap(self.tree, self.module, self.is_package_init).aliases
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -94,39 +109,115 @@ class Rule:
 
 
 # --------------------------------------------------------------------------
-# Import resolution
+# Import resolution (shared by every analyzer)
 # --------------------------------------------------------------------------
 
 
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the dotted module/object paths they denote.
+def resolve_relative(
+    module: str | None, node: ast.ImportFrom, is_pkg: bool
+) -> str | None:
+    """Absolute dotted target of a (possibly relative) ``from`` import."""
+    if node.level == 0:
+        return node.module
+    if module is None:
+        return None
+    parts = module.split(".")
+    # A package's __init__ resolves `from .` against itself; a plain module
+    # resolves against its parent package.
+    if not is_pkg:
+        parts = parts[:-1]
+    drop = node.level - 1
+    if drop > len(parts):
+        return None
+    base = parts[: len(parts) - drop]
+    if node.module:
+        base = base + node.module.split(".")
+    return ".".join(base) if base else None
 
-    ``import numpy as np`` maps ``np -> numpy``; ``from numpy import random``
-    maps ``random -> numpy.random``; ``from time import time`` maps
-    ``time -> time.time``.  Only top-level and nested imports are tracked —
-    enough to resolve ``np.random.normal`` to ``numpy.random.normal``.
+
+class ImportMap(ast.NodeVisitor):
+    """Every import of one module, in source order.
+
+    ``aliases`` maps each locally bound name to the dotted path it denotes
+    (``import numpy as np`` -> ``np: numpy``; ``from time import time`` ->
+    ``time: time.time``; ``import numpy.random`` binds the root ``numpy``).
+    ``exports`` is the runtime ``from X import y`` subset other modules may
+    re-export through, and ``imports`` records ``(target, name, line,
+    typing_only)`` per imported name (``name`` is ``None`` for plain
+    ``import`` and star imports).  Imports under ``if TYPE_CHECKING:`` are
+    erased at runtime: they alias but never export.
     """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    # ``import numpy.random`` binds the *root* name.
-                    root = alias.name.split(".", 1)[0]
-                    aliases[root] = root
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                aliases[local] = f"{node.module}.{alias.name}"
-    return aliases
+
+    def __init__(self, tree: ast.AST, module: str | None, is_pkg: bool) -> None:
+        self.module = module
+        self.is_pkg = is_pkg
+        self.aliases: dict[str, str] = {}
+        self.exports: dict[str, str] = {}
+        self.imports: list[tuple[str, str | None, int, bool]] = []
+        self._typing_depth = 0
+        self.visit(tree)
+
+    @staticmethod
+    def _is_type_checking(test: ast.expr) -> bool:
+        if isinstance(test, ast.Name):
+            return test.id == "TYPE_CHECKING"
+        if isinstance(test, ast.Attribute):
+            return test.attr == "TYPE_CHECKING"
+        return False
+
+    def visit_If(self, node: ast.If) -> None:
+        if self._is_type_checking(node.test):
+            self._typing_depth += 1
+            for child in node.body:
+                self.visit(child)
+            self._typing_depth -= 1
+            for child in node.orelse:
+                self.visit(child)
+        else:
+            self.generic_visit(node)
+
+    def visit_Import(self, node: ast.Import) -> None:
+        typing_only = self._typing_depth > 0
+        for alias in node.names:
+            self.imports.append((alias.name, None, node.lineno, typing_only))
+            if alias.asname:
+                self.aliases[alias.asname] = alias.name
+            else:
+                root = alias.name.split(".", 1)[0]
+                self.aliases[root] = root
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        typing_only = self._typing_depth > 0
+        target = resolve_relative(self.module, node, self.is_pkg)
+        if target is None:
+            return
+        for alias in node.names:
+            if alias.name == "*":
+                self.imports.append((target, None, node.lineno, typing_only))
+                continue
+            self.imports.append((target, alias.name, node.lineno, typing_only))
+            local = alias.asname or alias.name
+            dotted = f"{target}.{alias.name}"
+            self.aliases[local] = dotted
+            if not typing_only:
+                self.exports[local] = dotted
 
 
-def _resolve_call(func: ast.expr, aliases: dict[str, str]) -> str | None:
-    """Resolve a call's function expression to a dotted path, if importable."""
+def dotted_target(
+    func: ast.expr,
+    aliases: dict[str, str],
+    module: str | None = None,
+    module_symbols: set[str] = frozenset(),
+    locals_: set[str] = frozenset(),
+    class_name: str | None = None,
+) -> str | None:
+    """Resolve a call/decorator expression to a dotted path, if possible.
+
+    The base name resolves through ``aliases`` first, then through the
+    module's own top-level ``module_symbols``; a name bound in ``locals_``
+    shadows both.  With ``class_name``, ``self.method`` resolves to the
+    enclosing class's method.
+    """
     parts: list[str] = []
     node = func
     while isinstance(node, ast.Attribute):
@@ -134,11 +225,50 @@ def _resolve_call(func: ast.expr, aliases: dict[str, str]) -> str | None:
         node = node.value
     if not isinstance(node, ast.Name):
         return None
-    base = aliases.get(node.id)
-    if base is None:
+    base = node.id
+    if base == "self" and class_name is not None and len(parts) == 1:
+        return f"{module}.{class_name}.{parts[0]}" if module else None
+    if base in locals_ and base not in aliases:
         return None
-    parts.append(base)
+    if base in aliases:
+        parts.append(aliases[base])
+    elif base in module_symbols and module:
+        parts.append(f"{module}.{base}")
+    else:
+        return None
     return ".".join(reversed(parts))
+
+
+def follow_reexports(reexports: dict[str, str], dotted: str) -> str:
+    """Follow ``module.name -> origin`` re-export chains to a stable name."""
+    seen: set[str] = set()
+    while dotted in reexports and dotted not in seen:
+        seen.add(dotted)
+        dotted = reexports[dotted]
+    return dotted
+
+
+def iter_functions(
+    tree: ast.Module,
+) -> Iterator[tuple[ast.AST, str, ast.ClassDef | None]]:
+    """``(def, qualname, enclosing class)`` for each top-level function
+    and each method of a top-level class."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt, stmt.name, None
+        elif isinstance(stmt, ast.ClassDef):
+            for inner in stmt.body:
+                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield inner, f"{stmt.name}.{inner.name}", stmt
+
+
+def top_level_symbols(tree: ast.Module) -> set[str]:
+    """Names of the module's top-level functions and classes."""
+    return {
+        stmt.name
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
 
 
 def module_name_for(path: Path) -> str | None:
@@ -171,11 +301,11 @@ _STDLIB_RANDOM_ALLOWED = {"Random", "SystemRandom"}
 
 
 def _check_global_rng(ctx: ModuleContext) -> Iterator[Finding]:
-    aliases = _import_aliases(ctx.tree)
+    aliases = ctx.aliases
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
-        resolved = _resolve_call(node.func, aliases)
+        resolved = dotted_target(node.func, aliases)
         if resolved is None:
             continue
         if resolved.startswith("numpy.random."):
@@ -233,11 +363,11 @@ def _in_des_scope(module: str | None) -> bool:
 def _check_wall_clock(ctx: ModuleContext) -> Iterator[Finding]:
     if not _in_des_scope(ctx.module):
         return
-    aliases = _import_aliases(ctx.tree)
+    aliases = ctx.aliases
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
-        resolved = _resolve_call(node.func, aliases)
+        resolved = dotted_target(node.func, aliases)
         if resolved in _WALL_CLOCK:
             yield Finding(
                 "SW002",
@@ -622,11 +752,11 @@ _BUILTIN_DTYPE_FIX = {"float": "np.float64", "int": "np.int64", "bool": "np.bool
 
 
 def _check_builtin_dtypes(ctx: ModuleContext) -> Iterator[Finding]:
-    aliases = _import_aliases(ctx.tree)
+    aliases = ctx.aliases
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
-        resolved = _resolve_call(node.func, aliases)
+        resolved = dotted_target(node.func, aliases)
         if resolved is None or not resolved.startswith("numpy."):
             continue
         for kw in node.keywords:
@@ -669,7 +799,7 @@ def _assigned_names(target: ast.expr) -> Iterator[tuple[str, int, int]]:
 
 
 def _check_clock_suffix(ctx: ModuleContext) -> Iterator[Finding]:
-    aliases = _import_aliases(ctx.tree)
+    aliases = ctx.aliases
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Assign):
             targets, value = node.targets, node.value
@@ -681,7 +811,7 @@ def _check_clock_suffix(ctx: ModuleContext) -> Iterator[Finding]:
             continue
         if not isinstance(value, ast.Call):
             continue
-        resolved = _resolve_call(value.func, aliases)
+        resolved = dotted_target(value.func, aliases)
         suffixes = _CLOCK_READERS.get(resolved or "")
         if suffixes is None:
             continue
@@ -741,3 +871,9 @@ RULES: dict[str, Rule] = {
         ),
     )
 }
+
+
+def lint_module(tree: ast.Module, path: Path, module: str | None) -> list[Finding]:
+    """Every spotlint finding for one parsed module, before suppressions."""
+    ctx = ModuleContext(path=path, module=module, tree=tree)
+    return [finding for rule in RULES.values() for finding in rule.check(ctx)]

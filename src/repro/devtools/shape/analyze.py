@@ -25,21 +25,24 @@ Rule inventory
   (``for x in arr`` / ``for i in range(len(arr))``): the interpreter
   overhead NumPy vectorization exists to avoid.
 
-``SW000``/``SW009`` are the engine pseudo-rules shared with spotlint and
-spotgraph (unreadable file; unknown rule id in a ``# spotshape:``
-suppression comment).
+``SW000``/``SW009`` (unreadable file; unknown rule id in a
+``# spotshape:`` suppression comment) belong to the
+:mod:`repro.devtools.check` driver, which also applies suppressions.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from pathlib import Path
 from typing import Iterable
 
-from repro.devtools.lint import iter_python_files, scan_suppressions
-from repro.devtools.rules import Finding, module_name_for
+from repro.devtools.rules import (
+    Finding,
+    ImportMap,
+    dotted_target,
+    iter_functions,
+    top_level_symbols,
+)
 from repro.devtools.shape.domain import (
     UNKNOWN_DIM,
     UNKNOWN_DTYPE,
@@ -53,25 +56,14 @@ from repro.devtools.shape.domain import (
     scalar,
     unify_dim,
 )
-from repro.devtools.shape.summaries import (
-    ContractSummary,
-    ModuleSummaries,
-    SummaryTable,
-    collect_aliases,
-    dotted_target,
-    extract_summaries,
-    summary_digest,
-)
+from repro.devtools.shape.summaries import ContractSummary, SummaryTable
 from repro.devtools.specs import DTYPE_CODES, ShapeSpec
 
 __all__ = [
     "SHAPE_RULES",
-    "ENGINE_RULES",
     "HOT_PREFIXES",
-    "CACHE_SCHEMA",
-    "ANALYSIS_VERSION",
     "analyze_module",
-    "analyze_paths",
+    "local_names",
 ]
 
 SHAPE_RULES = {
@@ -82,19 +74,9 @@ SHAPE_RULES = {
     "SW204": "Python-level scalar loop over an array in a hot module",
 }
 
-ENGINE_RULES = {
-    "SW000": "unreadable or syntactically invalid file",
-    "SW009": "suppression comment references an unknown rule id",
-}
-
 #: Modules whose loops run once per control interval (or per simulated
 #: event) — the paper's hot paths, where SW203/SW204 apply.
 HOT_PREFIXES = ("repro.solvers", "repro.simulator", "repro.core")
-
-# Bump whenever analysis output changes shape or semantics: stale cache
-# entries from older analyzers are discarded by version mismatch.
-ANALYSIS_VERSION = 1
-CACHE_SCHEMA = "spotshape-cache/1"
 
 _NUMPY_DTYPE_ATTRS = {
     "float64": "float64",
@@ -193,6 +175,32 @@ def _format_val(val: ArrayVal) -> str:
     return text
 
 
+def local_names(fn: ast.AST) -> set[str]:
+    """Names bound inside a function: parameters, stores, nested defs,
+    imports — a call through one of them is not a module-level target."""
+    names: set[str] = set()
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (
+                list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
+            ):
+                names.add(arg.arg)
+            if args.vararg:
+                names.add(args.vararg.arg)
+            if args.kwarg:
+                names.add(args.kwarg.arg)
+            if node is not fn:
+                names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    names.add(alias.asname or alias.name.split(".", 1)[0])
+    return names
+
+
 class _FunctionAnalyzer:
     """One forward abstract-interpretation pass over a function body."""
 
@@ -222,38 +230,13 @@ class _FunctionAnalyzer:
         # Inside `with pytest.raises(...)` a proven shape/contract mismatch
         # is the *expected* behavior, not a finding.
         self.expect_error = 0
-        self.locals_ = self._local_names(fn)
+        self.locals_ = local_names(fn)
         self.own_contract = (
             table.lookup(f"{module}.{qualname}") if module else None
         )
         self._seed_env()
 
     # ------------------------------------------------------------ plumbing
-    @staticmethod
-    def _local_names(fn: ast.AST) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk(fn):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                for arg in (
-                    list(args.posonlyargs) + list(args.args)
-                    + list(args.kwonlyargs)
-                ):
-                    names.add(arg.arg)
-                if args.vararg:
-                    names.add(args.vararg.arg)
-                if args.kwarg:
-                    names.add(args.kwarg.arg)
-                if node is not fn:
-                    names.add(node.name)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                names.add(node.id)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    if alias.name != "*":
-                        names.add(alias.asname or alias.name.split(".", 1)[0])
-        return names
-
     def _seed_env(self) -> None:
         if self.own_contract is None:
             return
@@ -1220,60 +1203,18 @@ class _FunctionAnalyzer:
 
 
 # --------------------------------------------------------------------------
-# Module + project analysis
+# Module analysis
 # --------------------------------------------------------------------------
 
 
-def _is_suppressed(
-    finding: Finding, file_rules: set[str], line_rules: dict[int, set[str]]
-) -> bool:
-    if "ALL" in file_rules or finding.rule in file_rules:
-        return True
-    on_line = line_rules.get(finding.line, set())
-    return "ALL" in on_line or finding.rule in on_line
-
-
 def analyze_module(
-    source: str,
-    path: Path,
-    table: SummaryTable,
-    *,
-    module: str | None = None,
+    tree: ast.Module, path: Path, table: SummaryTable, module: str | None
 ) -> list[Finding]:
-    """All spotshape findings for one module, suppressions applied."""
-    if module is None:
-        module = module_name_for(path)
+    """All spotshape findings for one parsed module, before suppressions."""
     str_path = str(path)
-    try:
-        tree = ast.parse(source, filename=str_path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                "SW000", str_path, exc.lineno or 1, 0,
-                f"syntax error: {exc.msg}",
-            )
-        ]
-
-    file_rules, line_rules, refs = scan_suppressions(source, tool="spotshape")
-    is_pkg = path.name == "__init__.py"
-    aliases, _exports = collect_aliases(tree, module, is_pkg)
-    module_symbols = {
-        stmt.name
-        for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
-
+    aliases = ImportMap(tree, module, path.name == "__init__.py").aliases
+    module_symbols = top_level_symbols(tree)
     findings: list[Finding] = []
-    known = set(SHAPE_RULES) | set(ENGINE_RULES) | {"ALL"}
-    for line, rule_id in refs:
-        if rule_id not in known:
-            findings.append(
-                Finding(
-                    "SW009", str_path, line, 0,
-                    f"suppression references unknown rule id `{rule_id}` "
-                    f"(see --list-rules); it suppresses nothing",
-                )
-            )
 
     def analyze_fn(fn, qualname: str) -> None:
         analyzer = _FunctionAnalyzer(
@@ -1287,159 +1228,6 @@ def analyze_module(
         )
         findings.extend(analyzer.run())
 
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            analyze_fn(stmt, stmt.name)
-        elif isinstance(stmt, ast.ClassDef):
-            for inner in stmt.body:
-                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    analyze_fn(inner, f"{stmt.name}.{inner.name}")
-
-    return [
-        f for f in findings if not _is_suppressed(f, file_rules, line_rules)
-    ]
-
-
-# --------------------------------------------------------------------------
-# Two-pass cached pipeline
-# --------------------------------------------------------------------------
-
-
-def _load_cache(cache_path: Path | None) -> dict:
-    if cache_path is None or not cache_path.exists():
-        return {}
-    try:
-        data = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return {}
-    if data.get("schema") != CACHE_SCHEMA or data.get("version") != ANALYSIS_VERSION:
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(cache_path: Path | None, files: dict) -> None:
-    if cache_path is None:
-        return
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "version": ANALYSIS_VERSION,
-        "files": files,
-    }
-    try:
-        cache_path.write_text(
-            json.dumps(payload, sort_keys=True), encoding="utf-8"
-        )
-    except OSError:
-        # A read-only checkout (CI artifact stage) must not fail the run.
-        return
-
-
-def analyze_paths(
-    paths: Iterable[Path | str],
-    *,
-    exclude: Iterable[Path | str] = (),
-    cache_path: Path | str | None = None,
-    stats: dict | None = None,
-) -> list[Finding]:
-    """Run both passes over every ``.py`` file under ``paths``, cached.
-
-    Pass A (contract summaries) is cached per file by ``(mtime, sha256)``;
-    pass B (the interpreter) is cached by the same file key **plus** the
-    digest of the whole project's summaries, so editing a contract in one
-    file correctly re-analyzes every file that might call it.  ``stats``
-    (when given) receives ``cached``/``analyzed`` counters for pass B.
-    """
-    cache_file = Path(cache_path) if cache_path is not None else None
-    cached_files = _load_cache(cache_file)
-    next_files: dict = {}
-
-    entries: list[tuple[Path, str | None, str | None]] = []
-    modules: list[ModuleSummaries] = []
-    findings: list[Finding] = []
-
-    for path in iter_python_files(paths, exclude=exclude):
-        key = str(path.resolve())
-        try:
-            mtime = path.stat().st_mtime_ns
-        except OSError:
-            mtime = -1
-        cached = cached_files.get(key)
-        source: str | None = None
-        digest: str | None = None
-        if cached is not None and cached.get("mtime") != mtime:
-            # mtime changed: fall back to content hash before re-extracting.
-            try:
-                source = path.read_text(encoding="utf-8")
-                digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            except (OSError, UnicodeDecodeError):
-                source = None
-            if digest is not None and cached.get("sha256") == digest:
-                cached = dict(cached, mtime=mtime)
-            else:
-                cached = None
-        if cached is not None:
-            summaries = ModuleSummaries.from_dict(cached["summaries"])
-            next_files[key] = dict(cached)
-            modules.append(summaries)
-            entries.append((path, key, source))
-            continue
-        if source is None:
-            try:
-                source = path.read_text(encoding="utf-8")
-                digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            except (OSError, UnicodeDecodeError) as exc:
-                findings.append(
-                    Finding("SW000", str(path), 1, 0, f"unreadable file: {exc}")
-                )
-                entries.append((path, None, None))
-                continue
-        summaries = extract_summaries(source, path)
-        modules.append(summaries)
-        next_files[key] = {
-            "mtime": mtime,
-            "sha256": digest,
-            "summaries": summaries.to_dict(),
-        }
-        entries.append((path, key, source))
-
-    table = SummaryTable(modules)
-    digest_all = summary_digest(table)
-    n_cached = n_analyzed = 0
-
-    for path, key, source in entries:
-        if key is None:
-            continue  # unreadable: SW000 already recorded
-        entry = next_files[key]
-        analysis = entry.get("analysis")
-        if analysis is not None and analysis.get("digest") == digest_all:
-            findings.extend(
-                Finding(rule, p, line, col, msg)
-                for rule, p, line, col, msg in analysis["findings"]
-            )
-            n_cached += 1
-            continue
-        if source is None:
-            try:
-                source = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                findings.append(
-                    Finding("SW000", str(path), 1, 0, f"unreadable file: {exc}")
-                )
-                continue
-        file_findings = analyze_module(source, path, table)
-        findings.extend(file_findings)
-        entry["analysis"] = {
-            "digest": digest_all,
-            "findings": [
-                [f.rule, f.path, f.line, f.col, f.message]
-                for f in file_findings
-            ],
-        }
-        n_analyzed += 1
-
-    _save_cache(cache_file, next_files)
-    if stats is not None:
-        stats["cached"] = n_cached
-        stats["analyzed"] = n_analyzed
+    for fn, qualname, _cls in iter_functions(tree):
+        analyze_fn(fn, qualname)
     return findings

@@ -9,8 +9,8 @@ spec — with the call site's symbol bindings substituted — becomes the
 abstract value of the call expression.
 
 Summaries serialize to JSON as the original spec *strings* (the grammar
-in :mod:`repro.devtools.specs` round-trips), which keeps the cache file
-human-readable and the global summary digest stable.
+in :mod:`repro.devtools.specs` round-trips), which keeps the driver's
+cache file human-readable and the global summary digest stable.
 """
 
 from __future__ import annotations
@@ -22,17 +22,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.devtools.rules import module_name_for
+from repro.devtools.rules import (
+    ImportMap,
+    dotted_target,
+    follow_reexports,
+    iter_functions,
+    top_level_symbols,
+)
 from repro.devtools.specs import ShapeSpec, parse_spec
 
 __all__ = [
     "ContractSummary",
     "ModuleSummaries",
     "SummaryTable",
-    "collect_aliases",
-    "resolve_relative",
-    "dotted_target",
     "extract_summaries",
+    "read_contract",
     "summary_digest",
 ]
 
@@ -114,93 +118,6 @@ class ModuleSummaries:
 
 
 # --------------------------------------------------------------------------
-# Name/alias resolution (the spotgraph convention, scoped to what the
-# shape interpreter needs)
-# --------------------------------------------------------------------------
-
-
-def resolve_relative(
-    module: str | None, node: ast.ImportFrom, is_pkg: bool
-) -> str | None:
-    """Absolute dotted target of a (possibly relative) ``from`` import."""
-    if node.level == 0:
-        return node.module
-    if module is None:
-        return None
-    parts = module.split(".")
-    if not is_pkg:
-        parts = parts[:-1]
-    drop = node.level - 1
-    if drop > len(parts):
-        return None
-    base = parts[: len(parts) - drop]
-    if node.module:
-        base = base + node.module.split(".")
-    return ".".join(base) if base else None
-
-
-def collect_aliases(
-    tree: ast.AST, module: str | None, is_pkg: bool
-) -> tuple[dict[str, str], dict[str, str]]:
-    """``(aliases, export_aliases)`` for a module's imports.
-
-    ``aliases`` maps every locally importable name to its dotted origin
-    (``np`` -> ``numpy``, ``shapes`` -> ``repro.devtools.contracts.shapes``);
-    ``export_aliases`` is the ``from X import y`` subset other modules may
-    re-export through.
-    """
-    aliases: dict[str, str] = {}
-    exports: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    root = alias.name.split(".", 1)[0]
-                    aliases[root] = root
-        elif isinstance(node, ast.ImportFrom):
-            target = resolve_relative(module, node, is_pkg)
-            if target is None:
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                dotted = f"{target}.{alias.name}"
-                aliases[local] = dotted
-                exports[local] = dotted
-    return aliases, exports
-
-
-def dotted_target(
-    func: ast.expr,
-    aliases: dict[str, str],
-    module: str | None,
-    module_symbols: set[str],
-    locals_: set[str] = frozenset(),
-) -> str | None:
-    """Resolve a call/decorator expression to a dotted path, if possible."""
-    parts: list[str] = []
-    node = func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    base = node.id
-    if base in locals_ and base not in aliases:
-        return None
-    if base in aliases:
-        parts.append(aliases[base])
-    elif base in module_symbols and module:
-        parts.append(f"{module}.{base}")
-    else:
-        return None
-    return ".".join(reversed(parts))
-
-
-# --------------------------------------------------------------------------
 # Contract extraction (pass A)
 # --------------------------------------------------------------------------
 
@@ -212,7 +129,7 @@ def _spec_string(node: ast.expr) -> str | None:
     return None
 
 
-def _summarize_function(
+def read_contract(
     fn: ast.FunctionDef | ast.AsyncFunctionDef,
     qualname: str,
     module: str | None,
@@ -220,12 +137,20 @@ def _summarize_function(
     module_symbols: set[str],
     *,
     is_method: bool,
-) -> ContractSummary | None:
+    decorator: str,
+    parse,
+) -> dict | None:
+    """The first ``@decorator(...)`` on ``fn`` as contract fields.
+
+    Returns the keyword arguments of :class:`ContractSummary` (and of
+    spotunits' ``UnitContract``), or ``None`` when ``fn`` carries no such
+    decorator or its specs are dynamic or fail ``parse``.
+    """
     for deco in fn.decorator_list:
         if not isinstance(deco, ast.Call):
             continue
         target = dotted_target(deco.func, aliases, module, module_symbols)
-        if target != _SHAPES_DECORATOR:
+        if target != decorator:
             continue
         names = [a.arg for a in fn.args.posonlyargs + fn.args.args]
         if is_method and names and names[0] in ("self", "cls"):
@@ -248,72 +173,45 @@ def _summarize_function(
                 ret = spec if spec not in _SKIP_SPECS else None
             elif kw.arg is not None and spec is not None and spec not in _SKIP_SPECS:
                 params.append((kw.arg, spec))
-        if not ok:
+        if not ok or module is None:
             return None
         try:
             for _, spec in params:
-                parse_spec(spec)
+                parse(spec)
             if ret is not None:
-                parse_spec(ret)
+                parse(ret)
         except ValueError:
             return None  # runtime import would already have failed
-        if module is None:
-            return None
-        return ContractSummary(
-            function=f"{module}.{qualname}",
-            qualname=qualname,
-            line=fn.lineno,
-            args=tuple(names),
-            params=tuple(params),
-            ret=ret,
-        )
+        return {
+            "function": f"{module}.{qualname}",
+            "qualname": qualname,
+            "line": fn.lineno,
+            "args": tuple(names),
+            "params": tuple(params),
+            "ret": ret,
+        }
     return None
 
 
 def extract_summaries(
-    source: str, path: Path, *, module: str | None = None
+    tree: ast.Module, path: Path, module: str | None
 ) -> ModuleSummaries:
-    """Pass A for one file: contracts plus re-export aliases."""
-    if module is None:
-        module = module_name_for(path)
-    str_path = str(path)
-    try:
-        tree = ast.parse(source, filename=str_path)
-    except SyntaxError:
-        # Pass B reports SW000 for this file; pass A just has no facts.
-        return ModuleSummaries(path=str_path, module=module, summaries=())
-
-    is_pkg = path.name == "__init__.py"
-    aliases, exports = collect_aliases(tree, module, is_pkg)
-    module_symbols = {
-        stmt.name
-        for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
+    """Pass A for one parsed module: contracts plus re-export aliases."""
+    imports = ImportMap(tree, module, path.name == "__init__.py")
+    aliases, exports = imports.aliases, imports.exports
+    module_symbols = top_level_symbols(tree)
 
     found: list[ContractSummary] = []
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            summary = _summarize_function(
-                stmt, stmt.name, module, aliases, module_symbols, is_method=False
-            )
-            if summary is not None:
-                found.append(summary)
-        elif isinstance(stmt, ast.ClassDef):
-            for inner in stmt.body:
-                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    summary = _summarize_function(
-                        inner,
-                        f"{stmt.name}.{inner.name}",
-                        module,
-                        aliases,
-                        module_symbols,
-                        is_method=True,
-                    )
-                    if summary is not None:
-                        found.append(summary)
+    for fn, qualname, cls in iter_functions(tree):
+        fields = read_contract(
+            fn, qualname, module, aliases, module_symbols,
+            is_method=cls is not None, decorator=_SHAPES_DECORATOR,
+            parse=parse_spec,
+        )
+        if fields is not None:
+            found.append(ContractSummary(**fields))
     return ModuleSummaries(
-        path=str_path,
+        path=str(path),
         module=module,
         summaries=tuple(found),
         export_aliases=exports,
@@ -343,11 +241,7 @@ class SummaryTable:
 
     def resolve(self, dotted: str) -> str:
         """Follow re-export chains to a stable dotted name."""
-        seen: set[str] = set()
-        while dotted in self.reexports and dotted not in seen:
-            seen.add(dotted)
-            dotted = self.reexports[dotted]
-        return dotted
+        return follow_reexports(self.reexports, dotted)
 
     def lookup(self, dotted: str | None) -> ContractSummary | None:
         """The contract for a (possibly re-exported) call target."""

@@ -11,9 +11,10 @@ declarations from :mod:`repro.devtools.contracts`:
   annotation) a unit.
 
 Both serialize to JSON as the original spec *strings* (the shared
-grammar in :mod:`repro.devtools.specs` round-trips), keeping the cache
-human-readable and the global digest stable.  The alias/re-export
-machinery is spotshape's, imported rather than re-implemented.
+grammar in :mod:`repro.devtools.specs` round-trips), keeping the
+driver's cache human-readable and the global digest stable.  The
+alias/re-export machinery is the shared one in
+:mod:`repro.devtools.rules`.
 """
 
 from __future__ import annotations
@@ -25,11 +26,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.devtools.rules import module_name_for
-from repro.devtools.shape.summaries import (
-    collect_aliases,
+from repro.devtools.rules import (
+    ImportMap,
     dotted_target,
+    follow_reexports,
+    iter_functions,
+    top_level_symbols,
 )
+from repro.devtools.shape.summaries import read_contract
 from repro.devtools.specs import UnitSpec, parse_unit
 
 __all__ = [
@@ -41,14 +45,13 @@ __all__ = [
     "unit_summary_digest",
 ]
 
-#: dotted spellings that count as the ``@units`` decorator.  The bare
+#: The ``@units`` decorator's dotted name.  The bare
 #: ``repro.devtools.units`` name is this analyzer package, so the
 #: decorator is only importable from ``repro.devtools.contracts``.
-UNITS_DECORATORS = frozenset({"repro.devtools.contracts.units"})
+UNITS_DECORATOR = "repro.devtools.contracts.units"
 FIELD_UNITS_DECORATORS = frozenset(
     {"repro.devtools.contracts.field_units", "repro.devtools.field_units"}
 )
-_SKIP_SPECS = (None, "*", "...")
 
 
 @dataclass(frozen=True)
@@ -157,74 +160,6 @@ class UnitModuleSummaries:
 # --------------------------------------------------------------------------
 
 
-def _spec_string(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def _summarize_function(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    qualname: str,
-    module: str | None,
-    aliases: dict[str, str],
-    module_symbols: set[str],
-    *,
-    is_method: bool,
-) -> UnitContract | None:
-    for deco in fn.decorator_list:
-        if not isinstance(deco, ast.Call):
-            continue
-        target = dotted_target(deco.func, aliases, module, module_symbols)
-        if target not in UNITS_DECORATORS:
-            continue
-        names = [a.arg for a in fn.args.posonlyargs + fn.args.args]
-        if is_method and names and names[0] in ("self", "cls"):
-            names = names[1:]
-        params: list[tuple[str, str]] = []
-        ret: str | None = None
-        ok = True
-        for name, arg in zip(names, deco.args):
-            spec = _spec_string(arg)
-            if spec is None:
-                if not (
-                    isinstance(arg, ast.Constant) and arg.value in _SKIP_SPECS
-                ):
-                    ok = False  # dynamic spec expression: not summarizable
-                continue
-            if spec in _SKIP_SPECS:
-                continue
-            params.append((name, spec))
-        for kw in deco.keywords:
-            spec = _spec_string(kw.value)
-            if kw.arg == "ret":
-                ret = spec if spec not in _SKIP_SPECS else None
-            elif (
-                kw.arg is not None
-                and spec is not None
-                and spec not in _SKIP_SPECS
-            ):
-                params.append((kw.arg, spec))
-        if not ok or module is None:
-            return None
-        try:
-            for _, spec in params:
-                parse_unit(spec)
-            if ret is not None:
-                parse_unit(ret)
-        except ValueError:
-            return None  # runtime import would already have failed
-        return UnitContract(
-            function=f"{module}.{qualname}",
-            qualname=qualname,
-            line=fn.lineno,
-            args=tuple(names),
-            params=tuple(params),
-            ret=ret,
-        )
-    return None
-
-
 def _summarize_class(
     cls: ast.ClassDef,
     module: str | None,
@@ -239,10 +174,12 @@ def _summarize_class(
             continue
         fields: list[tuple[str, str]] = []
         for kw in deco.keywords:
-            spec = _spec_string(kw.value)
-            if kw.arg is None or spec is None:
+            spec = kw.value
+            if kw.arg is None or not (
+                isinstance(spec, ast.Constant) and isinstance(spec.value, str)
+            ):
                 return None  # **dynamic or non-literal spec
-            fields.append((kw.arg, spec))
+            fields.append((kw.arg, spec.value))
         if module is None:
             return None
         try:
@@ -260,58 +197,31 @@ def _summarize_class(
 
 
 def extract_unit_summaries(
-    source: str, path: Path, *, module: str | None = None
+    tree: ast.Module, path: Path, module: str | None
 ) -> UnitModuleSummaries:
-    """Pass A for one file: unit contracts, class tables, re-exports."""
-    if module is None:
-        module = module_name_for(path)
-    str_path = str(path)
-    try:
-        tree = ast.parse(source, filename=str_path)
-    except SyntaxError:
-        # Pass B reports SW000 for this file; pass A just has no facts.
-        return UnitModuleSummaries(path=str_path, module=module, contracts=())
-
-    is_pkg = path.name == "__init__.py"
-    aliases, exports = collect_aliases(tree, module, is_pkg)
-    module_symbols = {
-        stmt.name
-        for stmt in tree.body
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        )
-    }
+    """Pass A for one parsed module: unit contracts, class tables, re-exports."""
+    imports = ImportMap(tree, module, path.name == "__init__.py")
+    aliases, exports = imports.aliases, imports.exports
+    module_symbols = top_level_symbols(tree)
 
     contracts: list[UnitContract] = []
-    classes: list[ClassUnits] = []
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            summary = _summarize_function(
-                stmt, stmt.name, module, aliases, module_symbols,
-                is_method=False,
-            )
-            if summary is not None:
-                contracts.append(summary)
-        elif isinstance(stmt, ast.ClassDef):
-            table = _summarize_class(stmt, module, aliases, module_symbols)
-            if table is not None:
-                classes.append(table)
-            for inner in stmt.body:
-                if isinstance(
-                    inner, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    summary = _summarize_function(
-                        inner,
-                        f"{stmt.name}.{inner.name}",
-                        module,
-                        aliases,
-                        module_symbols,
-                        is_method=True,
-                    )
-                    if summary is not None:
-                        contracts.append(summary)
+    for fn, qualname, cls in iter_functions(tree):
+        fields = read_contract(
+            fn, qualname, module, aliases, module_symbols,
+            is_method=cls is not None, decorator=UNITS_DECORATOR,
+            parse=parse_unit,
+        )
+        if fields is not None:
+            contracts.append(UnitContract(**fields))
+    classes = [
+        table
+        for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef)
+        and (table := _summarize_class(stmt, module, aliases, module_symbols))
+        is not None
+    ]
     return UnitModuleSummaries(
-        path=str_path,
+        path=str(path),
         module=module,
         contracts=tuple(contracts),
         classes=tuple(classes),
@@ -345,11 +255,7 @@ class UnitTable:
 
     def resolve(self, dotted: str) -> str:
         """Follow re-export chains to a stable dotted name."""
-        seen: set[str] = set()
-        while dotted in self.reexports and dotted not in seen:
-            seen.add(dotted)
-            dotted = self.reexports[dotted]
-        return dotted
+        return follow_reexports(self.reexports, dotted)
 
     def lookup(self, dotted: str | None) -> UnitContract | None:
         """The unit contract for a (possibly re-exported) call target."""

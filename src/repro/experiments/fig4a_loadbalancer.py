@@ -134,7 +134,7 @@ def run_fig4a(
 
 
 def format_fig4a(results: dict[str, Fig4aResult]) -> str:
-    from repro.analysis.report import format_table
+    from repro.textfmt import format_table
 
     rows = []
     for name, r in results.items():

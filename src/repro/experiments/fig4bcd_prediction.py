@@ -91,7 +91,7 @@ def run_fig4bcd(
 
 
 def format_fig4bcd(results: dict[str, PredictorEval]) -> str:
-    from repro.analysis.report import format_histogram, format_table
+    from repro.textfmt import format_histogram, format_table
 
     rows = [
         [name, *ev.stats.as_row().values()]

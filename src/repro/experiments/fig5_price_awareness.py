@@ -169,7 +169,7 @@ def run_fig5(
 
 
 def format_fig5(result: Fig5Result) -> str:
-    from repro.analysis.report import format_table
+    from repro.textfmt import format_table
 
     rows = []
     for rep in (result.spotweb, result.constant):

@@ -129,7 +129,7 @@ def run_fig6b(
 
 
 def format_fig6b(result: Fig6bResult) -> str:
-    from repro.analysis.report import format_table
+    from repro.textfmt import format_table
 
     rows = []
     for nm in result.market_counts:

@@ -77,7 +77,7 @@ def run_fig7a(
 
 
 def format_fig7a(result: Fig7aResult) -> str:
-    from repro.analysis.report import format_table
+    from repro.textfmt import format_table
 
     rows = [
         [100 * err, 100 * result.savings_by_error[err]] for err in result.errors

@@ -84,7 +84,7 @@ def run_gcloud(
 
 
 def format_gcloud(result: GCloudResult) -> str:
-    from repro.analysis.report import format_table
+    from repro.textfmt import format_table
 
     rows = [
         [

@@ -107,7 +107,7 @@ def run_lookahead(
 
 
 def format_lookahead(result: LookaheadResult) -> str:
-    from repro.analysis.report import format_table
+    from repro.textfmt import format_table
 
     rows = []
     for s in result.startups:

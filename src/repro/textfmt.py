@@ -6,8 +6,8 @@ trace summaries print figure-shaped output instead.  This module is a
 (including :mod:`repro.obs`, which must not depend on the reporting
 stack) and itself imports nothing above numpy.
 
-:mod:`repro.analysis.report` and :mod:`repro.analysis.ascii` re-export
-these helpers for the reporting-layer API.
+:mod:`repro.analysis` re-exports the table, histogram and chart helpers
+for the reporting-layer API.
 """
 
 from __future__ import annotations

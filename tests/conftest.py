@@ -50,3 +50,10 @@ def random_feasible_qp(rng: np.random.Generator, n: int, m: int):
     slack_lo = rng.uniform(0.05, 2.0, size=m)
     slack_hi = rng.uniform(0.05, 2.0, size=m)
     return QPProblem(P, q, A, Ax0 - slack_lo, Ax0 + slack_hi)
+
+
+@pytest.fixture(scope="session")
+def spotcheck_cache(tmp_path_factory):
+    """One spotcheck cache for every whole-tree gate in the session: the
+    first run over the real tree extracts it, later runs reuse it."""
+    return tmp_path_factory.mktemp("spotcheck") / "cache.json"

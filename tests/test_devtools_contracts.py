@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -204,7 +206,7 @@ def test_declared_contracts_roundtrip_to_static_summaries(tmp_path):
     )
     path = tmp_path / "mod.py"
     path.write_text(source)
-    (summary,) = extract_summaries(source, path).summaries
+    (summary,) = extract_summaries(ast.parse(source), path, "mod").summaries
     assert summary.args == ("plan", "prices")
     assert dict(summary.params) == {"plan": "(H,N)", "prices": "(N,) f8"}
     assert summary.ret == "(H,)"

@@ -3,20 +3,23 @@ transitive taint path, suppressions, caching, baselines, and the CLI."""
 
 from __future__ import annotations
 
+import ast
 import json
-import shutil
 from pathlib import Path
 
 import pytest
+import spotcheck_cases
 
-from repro.devtools.graph.baseline import (
+from repro.devtools.check import (
+    ENGINE_RULES,
+    check_paths,
     fingerprint,
     load_baseline,
+    main,
     split_findings,
     write_baseline,
 )
-from repro.devtools.graph.cli import GRAPH_RULES, analyze_project, main
-from repro.devtools.graph.facts import extract_module_facts, load_project
+from repro.devtools.graph import GRAPH_RULES, extract_module_facts
 from repro.devtools.graph.layers import LAYER_ALLOWED, render_layer_map
 
 FIXTURES = Path(__file__).parent / "fixtures" / "graph"
@@ -24,11 +27,14 @@ SRC = Path(__file__).parents[1] / "src"
 
 
 def graph_findings(tree, select=None):
-    project = load_project([FIXTURES / tree])
-    findings = analyze_project(project)
-    if select is not None:
-        findings = [f for f in findings if f.rule in select]
-    return findings
+    """spotgraph's findings (plus SW000/SW009) for one fixture tree."""
+    return check_paths(
+        [FIXTURES / tree], select=select or set(GRAPH_RULES) | set(ENGINE_RULES)
+    )
+
+
+def extract(source, path):
+    return extract_module_facts(ast.parse(source), path, None)
 
 
 # ---------------------------------------------------------------- rule table
@@ -146,7 +152,7 @@ def test_unseeded_rng_is_sw111_only_not_sw110():
     "call", ["default_rng()", "default_rng(None)", "default_rng(seed=None)"]
 )
 def test_none_seed_counts_as_unseeded(call):
-    facts = extract_module_facts(
+    facts = extract(
         "from numpy.random import default_rng\n\n"
         f"def f():\n    return {call}\n",
         Path("m.py"),
@@ -157,7 +163,7 @@ def test_none_seed_counts_as_unseeded(call):
 
 
 def test_expression_seed_counts_as_seeded():
-    facts = extract_module_facts(
+    facts = extract(
         "from numpy.random import default_rng\n\n"
         "def f(seed):\n    return default_rng(seed)\n",
         Path("m.py"),
@@ -197,54 +203,26 @@ def test_unknown_suppression_rule_becomes_sw009():
 
 
 # ------------------------------------------------------------------ caching
-def _copy_tree(tmp_path, tree):
-    dest = tmp_path / tree
-    shutil.copytree(FIXTURES / tree, dest)
-    return dest
-
-
 def test_cache_roundtrip_and_invalidation(tmp_path):
-    dest = _copy_tree(tmp_path, "taint_bad")
-    cache = tmp_path / "cache.json"
-
-    stats: dict = {}
-    load_project([dest], cache_path=cache, stats=stats)
-    n_files = stats["extracted"]
-    assert n_files == 5 and stats["cached"] == 0
-
-    stats = {}
-    project = load_project([dest], cache_path=cache, stats=stats)
-    assert stats == {"cached": n_files, "extracted": 0}
-    # Cached facts must produce identical findings.
-    assert [f.rule for f in analyze_project(project) if f.rule == "SW110"]
-
-    target = dest / "repro" / "core" / "engine.py"
-    target.write_text(target.read_text() + "\n# touched\n")
-    stats = {}
-    load_project([dest], cache_path=cache, stats=stats)
-    assert stats == {"cached": n_files - 1, "extracted": 1}
+    spotcheck_cases.cache_roundtrip(tmp_path, "spotgraph")
 
 
 def test_cache_schema_mismatch_forces_reextraction(tmp_path):
-    dest = _copy_tree(tmp_path, "taint_bad")
-    cache = tmp_path / "cache.json"
-    cache.write_text(json.dumps({"schema": "something/9", "files": {}}))
-    stats: dict = {}
-    load_project([dest], cache_path=cache, stats=stats)
-    assert stats["cached"] == 0 and stats["extracted"] == 5
+    spotcheck_cases.cache_schema_mismatch(tmp_path, "spotgraph")
 
 
 def test_syntax_error_becomes_sw000(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def oops(:\n")
-    project = load_project([tmp_path])
-    findings = analyze_project(project)
+    findings = check_paths([tmp_path])
     assert [f.rule for f in findings] == ["SW000"]
 
 
 def test_extract_module_facts_records_imports_and_functions():
     path = FIXTURES / "taint_bad" / "repro" / "core" / "engine.py"
-    facts = extract_module_facts(path.read_text(), path)
+    facts = extract_module_facts(
+        ast.parse(path.read_text()), path, "repro.core.engine"
+    )
     assert facts.module == "repro.core.engine"
     assert {fn.qualname for fn in facts.functions} == {
         "step",
@@ -284,11 +262,12 @@ def test_load_baseline_rejects_wrong_schema(tmp_path):
 
 
 def test_committed_repo_baseline_is_empty():
-    committed = Path(__file__).parents[1] / "spotgraph-baseline.json"
+    # spotgraph's share of the one committed baseline stays empty.
+    committed = Path(__file__).parents[1] / "spotcheck-baseline.json"
     data = json.loads(committed.read_text())
-    assert data["schema"] == "spotgraph-baseline/1"
-    assert data["findings"] == []
-    assert data["justification"]
+    assert data["schema"] == "spotcheck-baseline/1"
+    assert [f for f in data["findings"] if f["rule"] in GRAPH_RULES] == []
+    assert data["justification"]["spotgraph"]
 
 
 # ---------------------------------------------------------------------- CLI
@@ -305,32 +284,19 @@ def test_cli_exits_nonzero_with_findings(tmp_path, capsys):
 
 
 def test_cli_exits_zero_on_clean_tree(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES / "layer_clean"))
+    code = _cli(
+        tmp_path, str(FIXTURES / "layer_clean"), "--select", ",".join(GRAPH_RULES)
+    )
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
 
 def test_cli_rejects_unknown_rule_ids(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES / "layer_bad"), "--select", "SW999")
-    assert code == 2
-    assert "SW999" in capsys.readouterr().err
+    spotcheck_cases.unknown_rule_is_a_usage_error(tmp_path, capsys, "spotgraph")
 
 
 def test_cli_json_format(tmp_path, capsys):
-    code = _cli(
-        tmp_path,
-        str(FIXTURES / "taint_bad"),
-        "--select",
-        "SW110",
-        "--format",
-        "json",
-    )
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == "spotweb-findings/1"
-    assert payload["tool"] == "spotgraph"
-    assert payload["count"] == 2
-    assert payload["baselined"] == 0
+    spotcheck_cases.json_payload(tmp_path, capsys, "spotgraph")
 
 
 def test_cli_update_baseline_then_clean(tmp_path, capsys):
@@ -346,21 +312,11 @@ def test_cli_update_baseline_then_clean(tmp_path, capsys):
 
 
 def test_cli_update_baseline_rejects_filters(tmp_path, capsys):
-    # A filtered --update-baseline would overwrite the baseline with only
-    # the selected subset, silently un-accepting all other findings.
-    code = _cli(
-        tmp_path,
-        str(FIXTURES / "taint_bad"),
-        "--select",
-        "SW110",
-        "--update-baseline",
-    )
-    assert code == 2
-    assert "--update-baseline" in capsys.readouterr().err
+    spotcheck_cases.update_baseline_rejects_filters(tmp_path, capsys, "spotgraph")
 
 
-def test_cli_layers_diagram(capsys):
-    assert main(["--layers", "--no-cache"]) == 0
+def test_cli_layers_diagram(capsys, spotcheck_cache):
+    assert main(["--layers", "--cache", str(spotcheck_cache)]) == 0
     out = capsys.readouterr().out
     assert "foundation" in out and "observed package dependencies" in out
 
@@ -374,8 +330,10 @@ def test_cli_list_rules(capsys):
 
 
 # ----------------------------------------------------------- the real tree
-def test_real_src_is_clean_with_empty_baseline():
+def test_real_src_is_clean_with_empty_baseline(spotcheck_cache):
     # The acceptance gate: spotgraph over the actual repo source exits with
     # zero findings, the intentional seams being annotated in place.
-    project = load_project([SRC])
-    assert analyze_project(project) == []
+    findings = check_paths(
+        [SRC], select=set(GRAPH_RULES) | set(ENGINE_RULES), cache_path=spotcheck_cache
+    )
+    assert findings == []

@@ -3,22 +3,26 @@ plus suppression comments, module-name scoping, and the CLI contract."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
+import spotcheck_cases
 
-from repro.devtools.lint import (
+from repro.devtools.check import (
     ENGINE_RULES,
+    check_paths,
     iter_python_files,
-    lint_file,
-    lint_paths,
-    lint_source,
     main,
 )
 from repro.devtools.rules import RULES, module_name_for
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
+LINT_RULES = set(RULES) | set(ENGINE_RULES)
+
+
+def lint_file(path, select=None, ignore=None):
+    """spotlint's findings (plus SW000/SW009) for one file, via the driver."""
+    return check_paths([path], select=select or LINT_RULES, ignore=ignore)
 
 
 # ---------------------------------------------------------------- rule table
@@ -197,14 +201,13 @@ def test_disable_all_silences_everything_on_line():
 
 
 def test_lint_source_respects_ignore():
-    src = (FIXTURES / "sw006_bad.py").read_text()
-    findings = lint_source(src, FIXTURES / "sw006_bad.py", ignore={"SW006"})
+    findings = check_paths([FIXTURES / "sw006_bad.py"], ignore={"SW006"})
     assert all(f.rule != "SW006" for f in findings)
 
 
 # --------------------------------------------------------------------- CLI
 def test_cli_exits_nonzero_with_findings(capsys):
-    code = main([str(FIXTURES / "sw006_bad.py"), "--select", "SW006"])
+    code = main([str(FIXTURES / "sw006_bad.py"), "--select", "SW006", "--no-cache"])
     out = capsys.readouterr().out
     assert code == 1
     assert "SW006" in out
@@ -213,15 +216,13 @@ def test_cli_exits_nonzero_with_findings(capsys):
 
 
 def test_cli_exits_zero_on_clean_input(capsys):
-    code = main([str(FIXTURES / "sw006_good.py"), "--select", "SW006"])
+    code = main([str(FIXTURES / "sw006_good.py"), "--select", "SW006", "--no-cache"])
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
 
-def test_cli_rejects_unknown_rule_ids(capsys):
-    code = main([str(FIXTURES / "sw006_bad.py"), "--select", "SW999"])
-    assert code == 2
-    assert "SW999" in capsys.readouterr().err
+def test_cli_rejects_unknown_rule_ids(tmp_path, capsys):
+    spotcheck_cases.unknown_rule_is_a_usage_error(tmp_path, capsys, "spotlint")
 
 
 def test_cli_list_rules(capsys):
@@ -232,22 +233,15 @@ def test_cli_list_rules(capsys):
 
 
 def test_lint_paths_walks_directories():
-    findings = lint_paths([FIXTURES], select={"SW006"})
+    findings = check_paths([FIXTURES], select={"SW006"})
     files = {Path(f.path).name for f in findings}
     assert "sw006_bad.py" in files
     assert "suppress_wrong.py" in files
     assert "suppress_file.py" not in files
 
 
-def test_cli_format_json(capsys):
-    code = main(
-        [str(FIXTURES / "sw006_bad.py"), "--select", "SW006", "--format", "json"]
-    )
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == "spotweb-findings/1"
-    assert payload["tool"] == "spotlint"
-    assert payload["count"] == len(payload["findings"]) > 0
+def test_cli_format_json(tmp_path, capsys):
+    spotcheck_cases.json_payload(tmp_path, capsys, "spotlint")
 
 
 def test_cli_list_rules_includes_engine_rules(capsys):
@@ -269,8 +263,8 @@ def test_iter_python_files_dedups_overlapping_args():
 def test_lint_paths_order_is_arg_order_independent():
     a = FIXTURES / "sw006_bad.py"
     b = FIXTURES / "sw005_bad.py"
-    forward = lint_paths([a, b])
-    backward = lint_paths([b, a])
+    forward = check_paths([a, b])
+    backward = check_paths([b, a])
     assert [f.format() for f in forward] == [f.format() for f in backward]
     assert forward == sorted(
         forward, key=lambda f: (f.path, f.line, f.col, f.rule)

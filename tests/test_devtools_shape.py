@@ -4,26 +4,30 @@ baseline workflow, the CLI, and the real-tree gate."""
 
 from __future__ import annotations
 
+import ast
 import json
 import shutil
 from pathlib import Path
 
 import pytest
+import spotcheck_cases
 
-from repro.devtools.baseline import (
+from repro.devtools.check import (
+    BASELINE_SCHEMA,
+    ENGINE_RULES,
+    check_paths,
     fingerprint,
     load_baseline,
+    main,
     split_findings,
     write_baseline,
 )
+from repro.devtools.rules import module_name_for
 from repro.devtools.shape.analyze import (
-    ENGINE_RULES,
     HOT_PREFIXES,
     SHAPE_RULES,
     analyze_module,
-    analyze_paths,
 )
-from repro.devtools.shape.cli import BASELINE_SCHEMA, main
 from repro.devtools.shape.domain import (
     ArrayVal,
     broadcast_dims,
@@ -44,22 +48,26 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 
 
+SHAPE_AND_ENGINE = set(SHAPE_RULES) | set(ENGINE_RULES)
+
+
 def shape_findings(paths=None, select=None):
-    findings = analyze_paths(paths if paths is not None else [FIXTURES])
-    if select is not None:
-        findings = [f for f in findings if f.rule in select]
-    return findings
+    """spotshape's findings (plus SW000/SW009), via the driver."""
+    return check_paths(
+        paths if paths is not None else [FIXTURES],
+        select=select or SHAPE_AND_ENGINE,
+    )
+
+
+def summarize(source, path):
+    return extract_summaries(ast.parse(source), path, module_name_for(path))
 
 
 def analyze_one(name, *, with_seam=True):
-    """Analyze a single fixture file against the seam's contract table."""
-    mods = []
-    if with_seam:
-        seam = FIXTURES / "contracts_seam.py"
-        mods.append(extract_summaries(seam.read_text(), seam))
+    """Check a single fixture file against the seam's contract table."""
     path = FIXTURES / name
-    mods.append(extract_summaries(path.read_text(), path))
-    return analyze_module(path.read_text(), path, SummaryTable(mods))
+    seam = [FIXTURES / "contracts_seam.py"] if with_seam else []
+    return [f for f in shape_findings([*seam, path]) if f.path == str(path)]
 
 
 # ------------------------------------------------------------------- domain
@@ -126,7 +134,7 @@ def test_arrayval_rank_and_scalar():
 # ---------------------------------------------------------------- summaries
 def test_extract_summaries_reads_the_seam_contracts():
     seam = FIXTURES / "contracts_seam.py"
-    mod = extract_summaries(seam.read_text(), seam)
+    mod = summarize(seam.read_text(), seam)
     assert mod.module == "contracts_seam"
     by_qualname = {s.qualname: s for s in mod.summaries}
     assert set(by_qualname) == {"scale_rows", "weight_vector", "total_cost"}
@@ -138,7 +146,7 @@ def test_extract_summaries_reads_the_seam_contracts():
 
 def test_summary_roundtrip_and_digest_stability():
     seam = FIXTURES / "contracts_seam.py"
-    mod = extract_summaries(seam.read_text(), seam)
+    mod = summarize(seam.read_text(), seam)
     table = SummaryTable([mod])
     digest = summary_digest(table)
     assert digest == summary_digest(SummaryTable([mod]))
@@ -152,9 +160,9 @@ def test_digest_changes_when_a_contract_changes(tmp_path):
     original = seam.read_text()
     edited_path = tmp_path / "contracts_seam.py"
     edited_path.write_text(original.replace('"(H,N)", "(N,)"', '"(H,K)", "(K,)"'))
-    d1 = summary_digest(SummaryTable([extract_summaries(original, seam)]))
+    d1 = summary_digest(SummaryTable([summarize(original, seam)]))
     d2 = summary_digest(
-        SummaryTable([extract_summaries(edited_path.read_text(), edited_path)])
+        SummaryTable([summarize(edited_path.read_text(), edited_path)])
     )
     assert d1 != d2
 
@@ -237,10 +245,10 @@ def test_violation_inside_pytest_raises_is_expected(tmp_path):
         "        scale_rows(np.zeros((4, 3)), np.zeros((4, 3)))\n"
     )
     seam = FIXTURES / "contracts_seam.py"
-    table = SummaryTable([extract_summaries(seam.read_text(), seam)])
+    table = SummaryTable([summarize(seam.read_text(), seam)])
     path = tmp_path / "test_mod.py"
     path.write_text(src)
-    assert analyze_module(src, path, table) == []
+    assert analyze_module(ast.parse(src), path, table, "test_mod") == []
 
 
 # ---------------------------------------------------------------- hot scope
@@ -258,7 +266,7 @@ def test_sw203_sw204_only_fire_in_hot_modules(tmp_path):
     )
     cold = tmp_path / "coldmod.py"
     cold.write_text(loops)
-    assert analyze_module(loops, cold, SummaryTable([])) == []
+    assert analyze_module(ast.parse(loops), cold, SummaryTable([]), "coldmod") == []
 
 
 # ------------------------------------------------------------- suppressions
@@ -271,7 +279,7 @@ def test_unknown_suppression_rule_becomes_sw009(tmp_path):
     path = tmp_path / "m.py"
     src = "x = 1  # spotshape: disable=SW998\n"
     path.write_text(src)
-    (finding,) = analyze_module(src, path, SummaryTable([]))
+    (finding,) = shape_findings([path])
     assert finding.rule == "SW009" and "SW998" in finding.message
 
 
@@ -279,85 +287,30 @@ def test_syntax_error_becomes_sw000(tmp_path):
     path = tmp_path / "broken.py"
     src = "def oops(:\n"
     path.write_text(src)
-    (finding,) = analyze_module(src, path, SummaryTable([]))
+    (finding,) = shape_findings([path])
     assert finding.rule == "SW000"
     assert "SW000" in ENGINE_RULES and "SW009" in ENGINE_RULES
 
 
 # ------------------------------------------------------------------ caching
-def _copy_tree(tmp_path):
-    dest = tmp_path / "shape"
-    shutil.copytree(FIXTURES, dest)
-    return dest
-
-
 def test_cache_roundtrip_and_file_invalidation(tmp_path):
-    dest = _copy_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-
-    stats: dict = {}
-    first = analyze_paths([dest], cache_path=cache, stats=stats)
-    n_files = stats["analyzed"]
-    assert n_files > 0 and stats["cached"] == 0
-
-    stats = {}
-    second = analyze_paths([dest], cache_path=cache, stats=stats)
-    assert stats == {"cached": n_files, "analyzed": 0}
-    assert [(f.rule, f.line, f.message) for f in second] == [
-        (f.rule, f.line, f.message) for f in first
-    ]
-
-    # Touching one non-contract file re-analyzes exactly that file.
-    target = dest / "sw202_bad.py"
-    target.write_text(target.read_text() + "\n# touched\n")
-    stats = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
-    assert stats == {"cached": n_files - 1, "analyzed": 1}
+    spotcheck_cases.cache_roundtrip(tmp_path, "spotshape")
 
 
 def test_contract_edit_invalidates_every_dependent(tmp_path):
-    # Pass B is keyed by the *global* summary digest: changing a contract
-    # in one file must re-analyze all files, not just the edited one.
-    dest = _copy_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    stats: dict = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
-    n_files = stats["analyzed"]
-
-    seam = dest / "contracts_seam.py"
-    seam.write_text(
-        seam.read_text().replace(
-            '@shapes("(N,) f8", "(N,)", ret="()")',
-            '@shapes("(N,) f4", "(N,)", ret="()")',
-        )
-    )
-    stats = {}
-    findings = analyze_paths([dest], cache_path=cache, stats=stats)
-    assert stats == {"cached": 0, "analyzed": n_files}
-    # The flipped contract now clears the old f8-vs-float32 violation and
-    # instead rejects the float64 prices in the good pipeline.
-    messages = [f.message for f in findings if f.rule == "SW200"]
-    assert any("f4" in m for m in messages)
+    spotcheck_cases.contract_edit_invalidates_everything(tmp_path, "spotshape")
 
 
 def test_cache_schema_mismatch_forces_reanalysis(tmp_path):
-    dest = _copy_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    stats: dict = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
-    n_files = stats["analyzed"]
-    cache.write_text(json.dumps({"schema": "something/9", "files": {}}))
-    stats = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
-    assert stats == {"cached": 0, "analyzed": n_files}
+    spotcheck_cases.cache_schema_mismatch(tmp_path, "spotshape")
 
 
 # ----------------------------------------------------------------- baseline
 def test_baseline_roundtrip_accepts_everything(tmp_path):
     findings = shape_findings()
     baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, findings, schema=BASELINE_SCHEMA)
-    accepted = load_baseline(baseline_file, schema=BASELINE_SCHEMA)
+    write_baseline(baseline_file, findings)
+    accepted = load_baseline(baseline_file)
     new, baselined = split_findings(findings, accepted)
     assert new == [] and len(baselined) == len(findings)
 
@@ -375,14 +328,14 @@ def test_load_baseline_rejects_wrong_schema(tmp_path):
     bad = tmp_path / "b.json"
     bad.write_text(json.dumps({"schema": "spotgraph-baseline/1", "findings": []}))
     with pytest.raises(ValueError):
-        load_baseline(bad, schema=BASELINE_SCHEMA)
+        load_baseline(bad)
 
 
 def test_committed_repo_baseline_is_justified():
-    committed = REPO / "spotshape-baseline.json"
+    committed = REPO / "spotcheck-baseline.json"
     data = json.loads(committed.read_text())
     assert data["schema"] == BASELINE_SCHEMA
-    assert data["justification"]
+    assert data["justification"]["spotshape"]
     # Every accepted finding names a hot-path rule; SW200/SW201 proofs are
     # real bugs and must be fixed, never grandfathered.
     assert {f["rule"] for f in data["findings"]} <= {"SW202", "SW203", "SW204"}
@@ -406,7 +359,7 @@ def test_cli_exits_zero_on_clean_tree(tmp_path, capsys):
     clean_dir.mkdir()
     shutil.copy(FIXTURES / "contracts_seam.py", clean_dir)
     shutil.copy(FIXTURES / "clean.py", clean_dir)
-    code = _cli(tmp_path, str(clean_dir))
+    code = _cli(tmp_path, str(clean_dir), "--select", ",".join(SHAPE_RULES))
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
@@ -419,26 +372,18 @@ def test_cli_exclude_skips_the_bad_files(tmp_path, capsys):
         "--exclude", str(FIXTURES / "sw200_bad.py"),
         "--exclude", str(FIXTURES / "sw201_bad.py"),
         "--exclude", str(FIXTURES / "sw202_bad.py"),
+        "--select", ",".join(SHAPE_RULES),
     )
     capsys.readouterr()
     assert code == 0
 
 
 def test_cli_rejects_unknown_rule_ids(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES), "--select", "SW999")
-    assert code == 2
-    assert "SW999" in capsys.readouterr().err
+    spotcheck_cases.unknown_rule_is_a_usage_error(tmp_path, capsys, "spotshape")
 
 
 def test_cli_json_format(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES), "--select", "SW204", "--format", "json")
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == "spotweb-findings/1"
-    assert payload["tool"] == "spotshape"
-    assert payload["count"] == 2
-    assert payload["baselined"] == 0
-    assert set(payload["cache"]) == {"cached", "analyzed"}
+    spotcheck_cases.json_payload(tmp_path, capsys, "spotshape")
 
 
 def test_cli_update_baseline_then_clean(tmp_path, capsys):
@@ -454,12 +399,7 @@ def test_cli_update_baseline_then_clean(tmp_path, capsys):
 
 
 def test_cli_update_baseline_rejects_filters(tmp_path, capsys):
-    # A filtered --update-baseline would overwrite the baseline with only
-    # the selected subset, silently un-accepting all other findings.
-    for flag in ("--select", "--ignore"):
-        code = _cli(tmp_path, str(FIXTURES), flag, "SW202", "--update-baseline")
-        assert code == 2
-        assert "--update-baseline" in capsys.readouterr().err
+    spotcheck_cases.update_baseline_rejects_filters(tmp_path, capsys, "spotshape")
 
 
 def test_cli_list_rules(capsys):
@@ -471,15 +411,20 @@ def test_cli_list_rules(capsys):
 
 
 # ----------------------------------------------------------- the real tree
-def test_real_tree_is_clean_against_committed_baseline(monkeypatch):
+def test_real_tree_is_clean_against_committed_baseline(monkeypatch, spotcheck_cache):
     # The acceptance gate: spotshape over the actual repo (src + tests,
     # fixtures excluded) reports nothing beyond the committed, justified
     # baseline.  Burn the baseline down; never grow it.  Baseline
     # fingerprints hash repo-relative paths, so run from the repo root
     # exactly as CI does.
     monkeypatch.chdir(REPO)
-    findings = analyze_paths(["src", "tests"], exclude=["tests/fixtures"])
-    accepted = load_baseline("spotshape-baseline.json", schema=BASELINE_SCHEMA)
+    findings = check_paths(
+        ["src", "tests"],
+        select=SHAPE_AND_ENGINE,
+        exclude=["tests/fixtures"],
+        cache_path=spotcheck_cache,
+    )
+    accepted = load_baseline("spotcheck-baseline.json")
     new, _ = split_findings(findings, accepted)
     report = "\n".join(f.format() for f in new)
     assert not new, f"spotshape found new violations:\n{report}"

@@ -4,28 +4,27 @@ baseline workflow, the CLI, and the real-tree gate."""
 
 from __future__ import annotations
 
+import ast
 import json
 import shutil
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import spotcheck_cases
 
-from repro.devtools.baseline import (
+from repro.devtools.check import (
+    ENGINE_RULES,
+    check_paths,
     fingerprint,
     load_baseline,
-    make_baseline,
+    main,
     split_findings,
     write_baseline,
 )
+from repro.devtools.rules import module_name_for
 from repro.devtools.specs import parse_unit
-from repro.devtools.units.analyze import (
-    ENGINE_RULES,
-    UNIT_RULES,
-    analyze_module,
-    analyze_paths,
-)
-from repro.devtools.units.cli import BASELINE_SCHEMA, main
+from repro.devtools.units.analyze import UNIT_RULES, analyze_module
 from repro.devtools.units.domain import (
     DIMENSIONLESS,
     classify_mismatch,
@@ -48,22 +47,26 @@ FIXTURES = Path(__file__).parent / "fixtures" / "units"
 REPO = Path(__file__).resolve().parents[1]
 
 
+UNITS_AND_ENGINE = set(UNIT_RULES) | set(ENGINE_RULES)
+
+
 def unit_findings(paths=None, select=None):
-    findings = analyze_paths(paths if paths is not None else [FIXTURES])
-    if select is not None:
-        findings = [f for f in findings if f.rule in select]
-    return findings
+    """spotunits' findings (plus SW000/SW009), via the driver."""
+    return check_paths(
+        paths if paths is not None else [FIXTURES],
+        select=select or UNITS_AND_ENGINE,
+    )
+
+
+def summarize(source, path):
+    return extract_unit_summaries(ast.parse(source), path, module_name_for(path))
 
 
 def analyze_one(name, *, with_seam=True):
-    """Analyze a single fixture file against the seam's contract table."""
-    mods = []
-    if with_seam:
-        seam = FIXTURES / "contracts_seam.py"
-        mods.append(extract_unit_summaries(seam.read_text(), seam))
+    """Check a single fixture file against the seam's contract table."""
     path = FIXTURES / name
-    mods.append(extract_unit_summaries(path.read_text(), path))
-    return analyze_module(path.read_text(), path, UnitTable(mods))
+    seam = [FIXTURES / "contracts_seam.py"] if with_seam else []
+    return [f for f in unit_findings([*seam, path]) if f.path == str(path)]
 
 
 # ------------------------------------------------------------------- domain
@@ -118,7 +121,7 @@ def test_describe_uses_canonical_grammar_spelling():
 # ---------------------------------------------------------------- summaries
 def test_extract_unit_summaries_reads_the_seam_contracts():
     seam = FIXTURES / "contracts_seam.py"
-    mod = extract_unit_summaries(seam.read_text(), seam)
+    mod = summarize(seam.read_text(), seam)
     assert mod.module == "contracts_seam"
     by_qualname = {c.qualname: c for c in mod.contracts}
     assert set(by_qualname) == {"accrue_cost", "interval_width"}
@@ -133,7 +136,7 @@ def test_extract_unit_summaries_reads_the_seam_contracts():
 
 def test_summary_roundtrip_and_digest_stability():
     seam = FIXTURES / "contracts_seam.py"
-    mod = extract_unit_summaries(seam.read_text(), seam)
+    mod = summarize(seam.read_text(), seam)
     table = UnitTable([mod])
     digest = unit_summary_digest(table)
     assert digest == unit_summary_digest(UnitTable([mod]))
@@ -150,11 +153,11 @@ def test_digest_changes_when_a_contract_changes(tmp_path):
     edited_path = tmp_path / "contracts_seam.py"
     edited_path.write_text(original.replace('ret="usd"', 'ret="usd/hr"'))
     d1 = unit_summary_digest(
-        UnitTable([extract_unit_summaries(original, seam)])
+        UnitTable([summarize(original, seam)])
     )
     d2 = unit_summary_digest(
         UnitTable(
-            [extract_unit_summaries(edited_path.read_text(), edited_path)]
+            [summarize(edited_path.read_text(), edited_path)]
         )
     )
     assert d1 != d2
@@ -162,7 +165,7 @@ def test_digest_changes_when_a_contract_changes(tmp_path):
 
 def test_table_resolves_reexport_chains():
     seam = FIXTURES / "contracts_seam.py"
-    mod = extract_unit_summaries(seam.read_text(), seam)
+    mod = summarize(seam.read_text(), seam)
     facade = UnitModuleSummaries(
         path="pkg/__init__.py",
         module="pkg",
@@ -177,7 +180,7 @@ def test_table_resolves_reexport_chains():
 
 def test_field_unit_lookup():
     seam = FIXTURES / "contracts_seam.py"
-    table = UnitTable([extract_unit_summaries(seam.read_text(), seam)])
+    table = UnitTable([summarize(seam.read_text(), seam)])
     spec = table.field_unit("contracts_seam.Tariff", "penalty")
     assert spec == parse_unit("usd/(rps*hr)")
     assert table.field_unit("contracts_seam.Tariff", "nope") is None
@@ -290,11 +293,11 @@ def test_violation_inside_pytest_raises_is_expected(tmp_path):
     path.write_text(src)
     table = UnitTable(
         [
-            extract_unit_summaries(seam.read_text(), seam),
-            extract_unit_summaries(src, path),
+            summarize(seam.read_text(), seam),
+            summarize(src, path),
         ]
     )
-    findings = analyze_module(src, path, table)
+    findings = analyze_module(ast.parse(src), path, table, "test_mod")
     assert [f.rule for f in findings] == ["SW304"]
 
 
@@ -307,7 +310,7 @@ def test_unknown_suppression_rule_becomes_sw009(tmp_path):
     path = tmp_path / "m.py"
     src = "x = 1  # spotunits: disable=SW998\n"
     path.write_text(src)
-    (finding,) = analyze_module(src, path, UnitTable([]))
+    (finding,) = unit_findings([path])
     assert finding.rule == "SW009" and "SW998" in finding.message
 
 
@@ -315,85 +318,30 @@ def test_syntax_error_becomes_sw000(tmp_path):
     path = tmp_path / "broken.py"
     src = "def oops(:\n"
     path.write_text(src)
-    (finding,) = analyze_module(src, path, UnitTable([]))
+    (finding,) = unit_findings([path])
     assert finding.rule == "SW000"
     assert "SW000" in ENGINE_RULES and "SW009" in ENGINE_RULES
 
 
 # ------------------------------------------------------------------ caching
-def _copy_tree(tmp_path):
-    dest = tmp_path / "units"
-    shutil.copytree(FIXTURES, dest)
-    return dest
-
-
 def test_cache_roundtrip_and_file_invalidation(tmp_path):
-    dest = _copy_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-
-    stats: dict = {}
-    first = analyze_paths([dest], cache_path=cache, stats=stats)
-    n_files = stats["analyzed"]
-    assert n_files > 0 and stats["cached"] == 0
-
-    stats = {}
-    second = analyze_paths([dest], cache_path=cache, stats=stats)
-    assert stats == {"cached": n_files, "analyzed": 0}
-    assert [(f.rule, f.line, f.message) for f in second] == [
-        (f.rule, f.line, f.message) for f in first
-    ]
-
-    # Touching one non-contract file re-analyzes exactly that file.
-    target = dest / "sw304_bad.py"
-    target.write_text(target.read_text() + "\n# touched\n")
-    stats = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
-    assert stats == {"cached": n_files - 1, "analyzed": 1}
+    spotcheck_cases.cache_roundtrip(tmp_path, "spotunits")
 
 
 def test_contract_edit_invalidates_every_dependent(tmp_path):
-    # Pass B is keyed by the *global* unit-fact digest: changing a
-    # contract in one file must re-analyze all files, not just one.
-    dest = _copy_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    stats: dict = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
-    n_files = stats["analyzed"]
-
-    seam = dest / "contracts_seam.py"
-    seam.write_text(
-        seam.read_text().replace(
-            '@units("usd/(server*hr)", "server", "hr", ret="usd")',
-            '@units("usd/(server*hr)", "server", "hr", ret="usd/hr")',
-        )
-    )
-    stats = {}
-    findings = analyze_paths([dest], cache_path=cache, stats=stats)
-    assert stats == {"cached": 0, "analyzed": n_files}
-    # The flipped return contract now breaks clean.py's `monthly`, which
-    # still declares ret="usd" while accrue_cost hands back usd/hr.
-    messages = [f.message for f in findings if f.rule == "SW301"]
-    assert any("monthly" in m for m in messages)
+    spotcheck_cases.contract_edit_invalidates_everything(tmp_path, "spotunits")
 
 
 def test_cache_schema_mismatch_forces_reanalysis(tmp_path):
-    dest = _copy_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    stats: dict = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
-    n_files = stats["analyzed"]
-    cache.write_text(json.dumps({"schema": "something/9", "files": {}}))
-    stats = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
-    assert stats == {"cached": 0, "analyzed": n_files}
+    spotcheck_cases.cache_schema_mismatch(tmp_path, "spotunits")
 
 
 # ----------------------------------------------------------------- baseline
 def test_baseline_roundtrip_accepts_everything(tmp_path):
     findings = unit_findings()
     baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, findings, schema=BASELINE_SCHEMA)
-    accepted = load_baseline(baseline_file, schema=BASELINE_SCHEMA)
+    write_baseline(baseline_file, findings)
+    accepted = load_baseline(baseline_file)
     new, baselined = split_findings(findings, accepted)
     assert new == [] and len(baselined) == len(findings)
 
@@ -408,18 +356,16 @@ def test_fingerprint_is_line_independent():
 
 
 def test_bound_baseline_schema_rejects_other_tools(tmp_path):
-    # make_baseline binds the schema tag once so the spotunits CLI cannot
-    # accidentally read spotshape's baseline file.
-    bound = make_baseline(BASELINE_SCHEMA)
+    # The one baseline schema rejects the retired per-tool baseline files.
     other = tmp_path / "b.json"
     other.write_text(
         json.dumps({"schema": "spotshape-baseline/1", "findings": []})
     )
     with pytest.raises(ValueError):
-        bound.load(other)
-    bound.write(tmp_path / "ok.json", unit_findings(select={"SW300"}))
-    assert len(bound.load(tmp_path / "ok.json")) == 3
-    assert bound.load(tmp_path / "missing.json") == set()
+        load_baseline(other)
+    write_baseline(tmp_path / "ok.json", unit_findings(select={"SW300"}))
+    assert len(load_baseline(tmp_path / "ok.json")) == 3
+    assert load_baseline(tmp_path / "missing.json") == set()
 
 
 # ---------------------------------------------------------------------- CLI
@@ -440,7 +386,7 @@ def test_cli_exits_zero_on_clean_tree(tmp_path, capsys):
     clean_dir.mkdir()
     shutil.copy(FIXTURES / "contracts_seam.py", clean_dir)
     shutil.copy(FIXTURES / "clean.py", clean_dir)
-    code = _cli(tmp_path, str(clean_dir))
+    code = _cli(tmp_path, str(clean_dir), "--select", ",".join(UNIT_RULES))
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
@@ -454,26 +400,19 @@ def test_cli_exclude_skips_the_bad_files(tmp_path, capsys):
             for rule, bad, _, _ in UNIT_RULE_CASES
             for arg in ("--exclude", str(FIXTURES / bad))
         ],
+        "--select",
+        ",".join(UNIT_RULES),
     )
     capsys.readouterr()
     assert code == 0
 
 
 def test_cli_rejects_unknown_rule_ids(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES), "--select", "SW999")
-    assert code == 2
-    assert "SW999" in capsys.readouterr().err
+    spotcheck_cases.unknown_rule_is_a_usage_error(tmp_path, capsys, "spotunits")
 
 
 def test_cli_json_format(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES), "--select", "SW302", "--format", "json")
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == "spotweb-findings/1"
-    assert payload["tool"] == "spotunits"
-    assert payload["count"] == 2
-    assert payload["baselined"] == 0
-    assert set(payload["cache"]) == {"cached", "analyzed"}
+    spotcheck_cases.json_payload(tmp_path, capsys, "spotunits")
 
 
 def test_cli_update_baseline_then_clean(tmp_path, capsys):
@@ -489,12 +428,7 @@ def test_cli_update_baseline_then_clean(tmp_path, capsys):
 
 
 def test_cli_update_baseline_rejects_filters(tmp_path, capsys):
-    # A filtered --update-baseline would overwrite the baseline with only
-    # the selected subset, silently un-accepting all other findings.
-    for flag in ("--select", "--ignore"):
-        code = _cli(tmp_path, str(FIXTURES), flag, "SW303", "--update-baseline")
-        assert code == 2
-        assert "--update-baseline" in capsys.readouterr().err
+    spotcheck_cases.update_baseline_rejects_filters(tmp_path, capsys, "spotunits")
 
 
 def test_cli_unreadable_baseline_is_a_usage_error(tmp_path, capsys):
@@ -515,15 +449,20 @@ def test_cli_list_rules(capsys):
 
 
 # ----------------------------------------------------------- the real tree
-def test_real_tree_is_clean_against_committed_baseline(monkeypatch):
+def test_real_tree_is_clean_against_committed_baseline(monkeypatch, spotcheck_cache):
     # The acceptance gate: spotunits over the actual repo (src + tests,
     # fixtures excluded) reports nothing beyond a committed, justified
     # baseline — which currently does not exist, because the tree is
     # fully clean.  Baseline fingerprints hash repo-relative paths, so
     # run from the repo root exactly as CI does.
     monkeypatch.chdir(REPO)
-    findings = analyze_paths(["src", "tests"], exclude=["tests/fixtures"])
-    accepted = load_baseline("spotunits-baseline.json", schema=BASELINE_SCHEMA)
+    findings = check_paths(
+        ["src", "tests"],
+        select=UNITS_AND_ENGINE,
+        exclude=["tests/fixtures"],
+        cache_path=spotcheck_cache,
+    )
+    accepted = load_baseline("spotcheck-baseline.json")
     new, _ = split_findings(findings, accepted)
     report = "\n".join(f.format() for f in new)
     assert not new, f"spotunits found new violations:\n{report}"

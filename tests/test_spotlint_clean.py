@@ -10,21 +10,27 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.devtools.lint import lint_paths, main
+from repro.devtools.check import ENGINE_RULES, check_paths, main
+from repro.devtools.rules import RULES
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
 
-def test_src_tree_is_spotlint_clean():
-    findings = lint_paths([SRC])
+def test_src_tree_is_spotlint_clean(spotcheck_cache):
+    findings = check_paths(
+        [SRC], select=set(RULES) | set(ENGINE_RULES), cache_path=spotcheck_cache
+    )
     report = "\n".join(f.format() for f in findings)
     assert not findings, f"spotlint found violations:\n{report}"
 
 
-def test_cli_gate_exit_codes(capsys):
-    assert main([str(SRC)]) == 0
+def test_cli_gate_exit_codes(capsys, monkeypatch, spotcheck_cache):
+    # Baseline fingerprints hash repo-relative paths: run as CI does.
+    monkeypatch.chdir(REPO)
+    assert main(["src", "--cache", str(spotcheck_cache)]) == 0
     capsys.readouterr()
     bad_fixture = Path(__file__).parent / "fixtures" / "lint" / "sw001_bad.py"
-    assert main([str(bad_fixture)]) == 1
+    assert main([str(bad_fixture), "--no-cache"]) == 1
     out = capsys.readouterr().out
     assert "SW001" in out and "sw001_bad.py:" in out
